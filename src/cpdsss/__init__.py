@@ -8,81 +8,58 @@ CFAR detector design (:mod:`.analysis`), and deterministic Monte Carlo
 experiments plus their CSV/JSON reporting (:mod:`.experiments`). The
 ``cpdsss`` console command exposes design, simulation, and self-test
 entry points.
+
+The public names below are importable from the package itself. Each is
+loaded from its submodule on first use (PEP 562), so a process that only
+designs detectors never loads the experiment runner, its thread pool or
+hashlib.
 """
 
-from ._version import __version__
-from .analysis import (
-    DetectorDesign,
-    H0Pdf,
-    bessel_k_half,
-    cf_inversion_oracle,
-    design_detector,
-    h0_cdf,
-    h0_pdf,
-    interference_rise_db,
-    occupancy_fraction,
-    p0_from_pfa,
-    pfa_from_p0,
-    processing_gain_db,
-    solve_threshold,
-)
-from .channel import (
-    ChannelProfile,
-    ChannelRealization,
-    NoiseSpec,
-    ProfileKind,
-    apply_channel,
-    draw_channel,
-    exp_pdp_profile,
-    flat_profile,
-    superpose,
-    tdl_a_profile,
-)
-from .errors import CapacityError, ConfigError, NumericalError, UnsupportedConfiguration
-from .experiments import (
-    ChannelConfig,
-    CurveConfig,
-    ExperimentConfig,
-    ExperimentKind,
-    ExperimentResult,
-    ThresholdMode,
-    run_experiment,
-)
-from .rx import (
-    DecisionStats,
-    DespreadSet,
-    DetectionOutcome,
-    decision_stats,
-    despread_full,
-    detect,
-    estimate_noise_power,
-    extract_user,
-    recover_bits,
-)
-from .tx import CodeAssignment, TxFrame, UsrMessage, add_cp, allocate_codes, build_message, remove_cp
-from .zc import ShiftWindow, ZcBasis, cyclic_shift, generate_zc, window_product
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    # zc
-    "ZcBasis", "ShiftWindow", "generate_zc", "cyclic_shift", "window_product",
-    # tx
-    "CodeAssignment", "UsrMessage", "TxFrame", "allocate_codes", "build_message",
-    "add_cp", "remove_cp",
-    # channel
-    "ProfileKind", "ChannelProfile", "ChannelRealization", "NoiseSpec",
-    "tdl_a_profile", "exp_pdp_profile", "flat_profile",
-    "draw_channel", "apply_channel", "superpose",
-    # rx
-    "DespreadSet", "DecisionStats", "DetectionOutcome", "despread_full",
-    "extract_user", "decision_stats", "detect", "recover_bits", "estimate_noise_power",
-    # analysis
-    "bessel_k_half", "H0Pdf", "h0_pdf", "h0_cdf", "solve_threshold",
-    "pfa_from_p0", "p0_from_pfa", "cf_inversion_oracle", "DetectorDesign",
-    "design_detector", "occupancy_fraction", "processing_gain_db", "interference_rise_db",
-    # experiments
-    "ExperimentKind", "ThresholdMode", "CurveConfig", "ChannelConfig",
-    "ExperimentConfig", "ExperimentResult", "run_experiment",
-    # errors
-    "CapacityError", "UnsupportedConfiguration", "ConfigError", "NumericalError",
-]
+from ._version import __version__
+
+_EXPORTS = {
+    "zc": (
+        "ZcBasis", "ShiftWindow", "generate_zc", "cyclic_shift", "window_product",
+    ),
+    "tx": (
+        "CodeAssignment", "UsrMessage", "TxFrame", "allocate_codes", "build_message",
+        "add_cp", "remove_cp",
+    ),
+    "channel": (
+        "ProfileKind", "ChannelProfile", "ChannelRealization", "NoiseSpec",
+        "tdl_a_profile", "exp_pdp_profile", "flat_profile",
+        "draw_channel", "apply_channel", "superpose",
+    ),
+    "rx": (
+        "DespreadSet", "DecisionStats", "DetectionOutcome", "despread_full",
+        "extract_user", "decision_stats", "detect", "recover_bits", "estimate_noise_power",
+    ),
+    "analysis": (
+        "bessel_k_half", "H0Pdf", "h0_pdf", "h0_cdf", "solve_threshold",
+        "pfa_from_p0", "p0_from_pfa", "DetectorDesign",
+        "design_detector", "occupancy_fraction", "processing_gain_db", "interference_rise_db",
+    ),
+    "experiments": (
+        "ExperimentKind", "ThresholdMode", "CurveConfig", "ChannelConfig",
+        "ExperimentConfig", "ExperimentResult", "run_experiment",
+    ),
+    "errors": (
+        "CapacityError", "UnsupportedConfiguration", "ConfigError", "NumericalError",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

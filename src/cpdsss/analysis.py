@@ -9,8 +9,16 @@ variables|. Its density is
 
 for x >= 0, with K the modified Bessel function of the second kind. The
 half-integer order admits an exact finite sum, so no special-function
-dependency is needed. Thresholds come from inverting the tail of this
-density; the M-out-of-n false-alarm combinatorics use the (exact)
+dependency is needed. The statistic is |G1 - G2| with G1, G2 independent
+Gamma(L, sigma^2/2), and its tail is a finite sum as well: with
+z = 2x/sigma^2,
+
+    S(x) = e^-z sum_{j<L} W_j z^j / j!,   W_j = sum_{k <= L-1-j} w_k,
+    w_k = C(L-1+k, k) 2^-(L-1+k).
+
+Every term is positive, so S is evaluated in log space to full relative
+accuracy at any depth, and thresholds solve log S = log p0 by Newton's
+method. The M-out-of-n false-alarm combinatorics use the (exact)
 binomial tail, equal to a regularized incomplete beta function.
 
 The distribution depends on x only through x/sigma^2, so a threshold
@@ -26,10 +34,9 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, lgamma, log, pi, sqrt
+from math import comb, exp, expm1, inf, lgamma, log, pi, sqrt
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import NumericalError
 
@@ -41,7 +48,6 @@ __all__ = [
     "solve_threshold",
     "pfa_from_p0",
     "p0_from_pfa",
-    "cf_inversion_oracle",
     "DetectorDesign",
     "design_detector",
     "write_threshold_table",
@@ -97,8 +103,8 @@ class H0Pdf:
     def __post_init__(self):
         if self.l_taps < 1:
             raise ValueError("l_taps must be >= 1")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
     @property
     def _log_norm(self) -> float:
@@ -134,39 +140,74 @@ def h0_pdf(pdf: H0Pdf, x) -> np.ndarray | float:
     return out
 
 
+@lru_cache(maxsize=128)
+def _tail_coeffs(l_taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of the tail sum for j = 0..L-1: (j, log(W_j / j!), w_{L-1-j} / W_j)."""
+    k = np.arange(l_taps)
+    log_w = np.array(
+        [lgamma(l_taps + i) - lgamma(i + 1) - lgamma(l_taps) for i in range(l_taps)]
+    ) - (l_taps - 1 + k) * log(2.0)
+    log_big_w = np.logaddexp.accumulate(log_w)[::-1]
+    log_fact = np.array([lgamma(i + 1) for i in range(l_taps)])
+    out = (k.astype(float), log_big_w - log_fact, np.exp(log_w[::-1] - log_big_w))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _log_sf(l_taps: int, z: float) -> tuple[float, float]:
+    """log S and d(log S)/dz at z = 2x/sigma^2 > 0."""
+    j, log_a, ratio = _tail_coeffs(l_taps)
+    t = log_a + j * log(z)
+    m = t.max()
+    e = np.exp(t - m)
+    total = e.sum()
+    return float(m + log(total) - z), -float(ratio @ e / total)
+
+
 def h0_cdf(pdf: H0Pdf, x: float) -> float:
-    """Integral of the density from 0 to x by adaptive quadrature (abs tol 1e-10)."""
+    """P(statistic <= x), the complement of the closed-form tail sum."""
     if x <= 0:
         return 0.0
-    val, _ = integrate.quad(
-        lambda t: h0_pdf(pdf, t), 0.0, x, epsabs=1e-10, epsrel=1e-11, limit=400
-    )
-    return float(min(max(val, 0.0), 1.0))
+    return -expm1(_log_sf(pdf.l_taps, 2.0 * x / pdf.noise_var)[0])
 
 
 def solve_threshold(pdf: H0Pdf, p0: float) -> float:
-    """Threshold eta with tail probability p0: solves 1 - F(eta) - p0 = 0.
+    """Threshold eta with tail probability p0: solves log S(eta) = log p0.
 
-    Brackets the root by geometric growth of the upper end, then runs a
-    bracketed bisection/secant solve.
+    log S is concave (the density is log-concave), so Newton's method in
+    z = 2 eta / sigma^2 converges from any start; steps that leave the
+    bracket kept from the signs seen so far fall back to bisection or
+    doubling, which only rounding can trigger.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"p0 must be in (0, 1), got {p0}")
-
-    def g(eta):
-        return 1.0 - h0_cdf(pdf, eta) - p0
-
-    hi = pdf.noise_var
-    for _ in range(200):
-        if g(hi) < 0.0:
+    target = log(p0)
+    # exact at L = 1 (S = e^-z); the root term is the spread of the other L - 1
+    z = -target + sqrt(2.0 * (pdf.l_taps - 1) * -target)
+    lo, hi = 0.0, inf
+    for _ in range(100):
+        log_s, slope = _log_sf(pdf.l_taps, z)
+        g = log_s - target
+        if g == 0.0:
             break
-        hi *= 2.0
+        if g > 0.0:
+            lo = z
+        else:
+            hi = z
+        z_next = z - g / slope
+        if not lo < z_next < hi:
+            z_next = 0.5 * (lo + hi) if hi < inf else 2.0 * z
+        converged = abs(z_next - z) <= 1e-12 * z  # quadratic: the last step's error is ~1e-24
+        z = z_next
+        if converged:
+            break
     else:
-        raise NumericalError("failed to bracket the threshold")
-    eta = optimize.brentq(g, 0.0, hi, xtol=1e-13 * pdf.noise_var, rtol=8.9e-16, maxiter=200)
-    if abs(g(eta)) > 1e-8:
-        raise NumericalError(f"threshold residual {g(eta):.3e} exceeds 1e-8")
-    return float(eta)
+        raise NumericalError(f"threshold solve for p0={p0:.3e} did not converge")
+    residual = _log_sf(pdf.l_taps, z)[0] - target  # relative tail error, to first order
+    if not abs(residual) <= 1e-10:
+        raise NumericalError(f"relative tail residual {residual:.3e} exceeds 1e-10")
+    return float(z * pdf.noise_var / 2.0)
 
 
 def pfa_from_p0(p0: float, n: int, m: int) -> float:
@@ -221,44 +262,6 @@ def p0_from_pfa(pfa: float, n: int, m: int) -> float:
         else:
             p = 0.5 * (lo + hi)
     raise NumericalError("p0 inversion did not converge")
-
-
-def _log_cf(l_taps: int, noise_var: float, t: np.ndarray) -> np.ndarray:
-    # characteristic function of the pre-folding statistic:
-    # (2/s2)^(2L) / (t^2 + 4/s2^2)^L, evaluated in log space
-    return 2.0 * l_taps * log(2.0 / noise_var) - l_taps * np.log(
-        t * t + 4.0 / noise_var**2
-    )
-
-
-def cf_inversion_oracle(l_taps: int, noise_var: float, x_grid, fold: bool = True) -> np.ndarray:
-    """Slow independent density estimate by Fourier inversion of the CF.
-
-    Computes the symmetric pre-folding density at +x and -x by oscillatory
-    quadrature of the characteristic function, then folds the two onto the
-    nonnegative half line. ``fold=False`` returns the raw pre-folding
-    density instead (any sign allowed). Intended for cross-validation in
-    tests only.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if fold and np.any(x_grid < 0):
-        raise ValueError("x grid must be nonnegative")
-
-    def phi(t):
-        return exp(_log_cf(l_taps, noise_var, np.asarray(t)))
-
-    def prefold(u: float) -> float:
-        if u == 0.0:
-            val, _ = integrate.quad(phi, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11)
-        else:
-            val, _ = integrate.quad(
-                phi, 0.0, np.inf, weight="cos", wvar=u, epsabs=1e-12, limlst=200
-            )
-        return val / pi
-
-    if not fold:
-        return np.array([prefold(x) for x in x_grid])
-    return np.array([prefold(x) + prefold(-x) for x in x_grid])
 
 
 @dataclass(frozen=True)

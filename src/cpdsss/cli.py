@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .analysis import design_detector, write_threshold_table
 from .errors import ConfigError, NumericalError
 from .experiments import ExperimentConfig, run_experiment, write_sidecar
-from .selftest import run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,6 +88,9 @@ def _apply_override(mapping: dict, spec: str) -> None:
 
 
 def _cmd_design_threshold(args) -> int:
+    for noise_var in args.noise_var:
+        if not (math.isfinite(noise_var) and noise_var > 0):
+            raise ConfigError(f"noise variance must be finite and positive, got {noise_var}")
     entries = []
     for l_taps in args.l_taps:
         for noise_var in args.noise_var:
@@ -133,6 +136,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_checks  # its quadrature check needs scipy; other commands do not
+
     results = run_checks(args.filter, args.inject_failure)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -30,7 +30,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -114,6 +114,16 @@ class ChannelConfig:
     max_taps: int = 128
     normalize_each_draw: bool = True
 
+    def __post_init__(self):
+        if not isfinite(self.rms_delay_spread_ns):
+            raise ConfigError(
+                f"channel.rms_delay_spread_ns must be finite, got {self.rms_delay_spread_ns}"
+            )
+        if not (isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ConfigError(
+                f"channel.sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
+            )
+
     def to_profile(self) -> ChannelProfile:
         try:
             pk = ProfileKind(self.kind)
@@ -188,8 +198,8 @@ class ExperimentConfig:
             raise ConfigError("cp_len must be in [0, n_len)")
         if self.l_taps < 1:
             raise ConfigError("l_taps must be >= 1")
-        if self.noise_var <= 0:
-            raise ConfigError("noise_var must be positive")
+        if not (isfinite(self.noise_var) and self.noise_var > 0):
+            raise ConfigError(f"noise_var must be finite and positive, got {self.noise_var}")
         if not 0.0 < self.target_pfa < 1.0:
             raise ConfigError("target_pfa must be in (0, 1)")
         if self.num_trials < 1:

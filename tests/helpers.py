@@ -1,17 +1,18 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately written on a different arithmetic path
-from the package code: dense matrix products instead of FFTs, incomplete
-gamma mixtures instead of Bessel quadrature, explicit loops instead of
-vectorized kernels.
+from the package code: dense matrix products instead of FFTs, scipy's
+incomplete gamma functions instead of the package's log-space tail sum,
+explicit loops instead of vectorized kernels.
 """
 
 from __future__ import annotations
 
-from math import exp, lgamma, log
+from math import exp, lgamma, log, pi
 
 import numpy as np
-from scipy.special import gammainc
+from scipy import integrate
+from scipy.special import gammainc, gammaincc
 
 from cpdsss.zc import ZcBasis, cyclic_shift
 
@@ -51,6 +52,55 @@ def erlang_mixture_cdf(l_taps: int, noise_var: float, x) -> np.ndarray:
         log_w = lgamma(a + k + 1) - lgamma(k + 1) - lgamma(a + 1) - (a + k) * log(2.0)
         out = out + exp(log_w) * gammainc(l_taps - k, z)
     return out
+
+
+def erlang_mixture_sf(l_taps: int, noise_var: float, x) -> np.ndarray:
+    """Tail 1 - F(x) of the same mixture, as sum_k w_k Q(L-k, 2x/s2).
+
+    Q is the regularized upper incomplete gamma function, so the tail is
+    summed from positive terms and never formed as 1 - CDF; it keeps its
+    relative accuracy however small it is.
+    """
+    a = l_taps - 1
+    z = 2.0 * np.asarray(x, dtype=float) / noise_var
+    out = np.zeros_like(z)
+    for k in range(l_taps):
+        log_w = lgamma(a + k + 1) - lgamma(k + 1) - lgamma(a + 1) - (a + k) * log(2.0)
+        out = out + exp(log_w) * gammaincc(l_taps - k, z)
+    return out
+
+
+def cf_inversion_oracle(l_taps: int, noise_var: float, x_grid, fold: bool = True) -> np.ndarray:
+    """Slow independent density estimate by Fourier inversion of the CF.
+
+    The pre-folding statistic (the signed sum of 2L products) has
+    characteristic function (2/s2)^(2L) / (t^2 + 4/s2^2)^L. Its symmetric
+    density at +x and -x comes from oscillatory quadrature of the CF, and
+    the two are folded onto the nonnegative half line. ``fold=False``
+    returns the raw pre-folding density instead (any sign allowed).
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    if fold and np.any(x_grid < 0):
+        raise ValueError("x grid must be nonnegative")
+
+    def phi(t):
+        log_cf = 2.0 * l_taps * log(2.0 / noise_var) - l_taps * np.log(
+            t * t + 4.0 / noise_var**2
+        )
+        return exp(log_cf)
+
+    def prefold(u: float) -> float:
+        if u == 0.0:
+            val, _ = integrate.quad(phi, 0.0, np.inf, epsabs=1e-12, epsrel=1e-11)
+        else:
+            val, _ = integrate.quad(
+                phi, 0.0, np.inf, weight="cos", wvar=u, epsabs=1e-12, limlst=200
+            )
+        return val / pi
+
+    if not fold:
+        return np.array([prefold(x) for x in x_grid])
+    return np.array([prefold(x) + prefold(-x) for x in x_grid])
 
 
 def sample_h0_statistic(rng: np.random.Generator, l_taps: int, noise_var: float, n: int,

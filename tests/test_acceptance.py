@@ -12,12 +12,11 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import kstest
 
-from helpers import crossing_snr_db, dense_despread, sample_h0_statistic
+from helpers import cf_inversion_oracle, crossing_snr_db, dense_despread, sample_h0_statistic
 
 from cpdsss import cli
 from cpdsss.analysis import (
     H0Pdf,
-    cf_inversion_oracle,
     h0_cdf,
     h0_pdf,
     occupancy_fraction,
@@ -120,7 +119,7 @@ def test_criterion_3_h0_density_validation(capsys):
     pdf40 = H0Pdf(40, 1.0)
     grid = np.linspace(0.0, float(samples.max()) * 1.001, 4097)
     cdf_grid = _cdf_on_grid(pdf40, grid)
-    # the cumulative is anchored to the production quadrature CDF at grid
+    # the cumulative is anchored to the production closed-form CDF at grid
     # nodes; between nodes linear interpolation adds O(1e-7), far below the
     # KS test's 0.005 resolution at 1e5 samples
     for idx in (len(grid) // 4, len(grid) // 2, 3 * len(grid) // 4):

@@ -7,12 +7,17 @@ import pytest
 from scipy import integrate
 from scipy.special import betainc, betaincinv
 
-from helpers import binomial_tail_oracle, erlang_mixture_cdf, sample_h0_statistic
+from helpers import (
+    binomial_tail_oracle,
+    cf_inversion_oracle,
+    erlang_mixture_cdf,
+    erlang_mixture_sf,
+    sample_h0_statistic,
+)
 
 from cpdsss.analysis import (
     H0Pdf,
     bessel_k_half,
-    cf_inversion_oracle,
     design_detector,
     h0_cdf,
     h0_pdf,
@@ -113,6 +118,9 @@ def test_h0_pdf_rejects_negative():
         H0Pdf(0, 1.0)
     with pytest.raises(ValueError):
         H0Pdf(1, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            H0Pdf(1, bad)
 
 
 # ------------------------------------------------------------------- CDF ----
@@ -159,6 +167,24 @@ def test_solve_threshold_l1_analytic():
 def test_solve_threshold_near_one_gives_tiny_eta():
     eta = solve_threshold(H0Pdf(1, 1.0), 0.999)
     assert 0 < eta < 1e-3
+
+
+DEEP_P0 = [1e-3, 1e-9, 1e-13, 1e-15, 1e-30]
+
+
+@pytest.mark.parametrize("p0", DEEP_P0)
+@pytest.mark.parametrize("l_taps", [1, 5, 40])
+def test_solve_threshold_deep_tail_matches_sf_oracle(l_taps, p0):
+    eta = solve_threshold(H0Pdf(l_taps, 1.0), p0)
+    tail = float(erlang_mixture_sf(l_taps, 1.0, eta))
+    assert abs(tail / p0 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p0", DEEP_P0)
+def test_solve_threshold_l1_deep_tail_analytic(p0):
+    eta = solve_threshold(H0Pdf(1, 1.0), p0)
+    ref = math.log(1.0 / p0) / 2.0
+    assert abs(eta / ref - 1.0) < 1e-13
 
 
 def test_solve_threshold_domain():

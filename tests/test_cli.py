@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,14 @@ def test_design_threshold_invalid_pfa(tmp_path, capsys):
     rc = cli.main(["design-threshold", "--target-pfa", "1.5", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_design_threshold_nonfinite_noise_var(tmp_path, capsys, bad):
+    rc = cli.main(["design-threshold", "--noise-var", f"1.0,{bad}", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "noise variance must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "thresholds.csv").exists()
 
 
 def test_design_threshold_grid(tmp_path):
@@ -136,6 +146,36 @@ def test_simulate_unknown_key_rejected(tmp_path, capsys):
                    "--set", "turbo=true"])
     assert rc == cli.EXIT_CONFIG
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "noise_var=nan", "noise_var=inf",
+    "channel.rms_delay_spread_ns=nan", "channel.rms_delay_spread_ns=inf",
+])
+def test_simulate_nonfinite_override_rejected(tmp_path, capsys, override):
+    config = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--set", override])
+    assert rc == cli.EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_imports_stay_light():
+    code = (
+        "import sys, cpdsss.analysis; "
+        "print(sorted(m for m in sys.modules if m.startswith('cpdsss.'))); "
+        "import cpdsss, cpdsss.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    design_only, scipy_modules = proc.stdout.splitlines()
+    # the package loads a submodule only when one of its names is used
+    assert design_only == "['cpdsss._version', 'cpdsss.analysis', 'cpdsss.errors']"
+    assert scipy_modules == "[]"
 
 
 def test_simulate_missing_file(tmp_path, capsys):

@@ -69,6 +69,16 @@ def test_validation_errors():
         cfg(kind="pfa", cp_len=1024)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_values_rejected(bad):
+    with pytest.raises(ConfigError, match="noise_var must be finite"):
+        cfg(kind="pfa", noise_var=bad)
+    with pytest.raises(ConfigError, match="rms_delay_spread_ns must be finite"):
+        cfg(kind="pfa", channel={"rms_delay_spread_ns": bad})
+    with pytest.raises(ConfigError, match="sample_rate_hz must be finite"):
+        cfg(kind="pfa", channel={"sample_rate_hz": bad})
+
+
 def test_config_round_trip():
     c = cfg(kind="pmd", snr_grid_db=[-12.0, -11.0], curves=[{"k_bits": 10, "m_of_n": 20}],
             master_seed=7)
