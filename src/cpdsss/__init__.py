@@ -30,7 +30,7 @@ _EXPORTS = {
     "channel": (
         "ProfileKind", "ChannelProfile", "ChannelRealization", "NoiseSpec",
         "tdl_a_profile", "exp_pdp_profile", "flat_profile",
-        "draw_channel", "apply_channel", "superpose",
+        "draw_taps", "draw_channel", "apply_channel", "superpose",
     ),
     "rx": (
         "DespreadSet", "DecisionStats", "DetectionOutcome", "despread_full",

@@ -39,6 +39,7 @@ __all__ = [
     "exp_pdp_profile",
     "flat_profile",
     "load_tdl_a_table",
+    "draw_taps",
     "draw_channel",
     "apply_channel",
     "superpose",
@@ -166,6 +167,24 @@ class NoiseSpec:
             raise ValueError("noise variance must be nonnegative")
 
 
+def draw_taps(
+    profile: ChannelProfile, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Tap vectors of ``size`` independent draws, stacked as rows (one vector if None).
+
+    The real parts of every draw come first, then the imaginary parts, so
+    ``size=None`` consumes ``rng`` exactly like :func:`draw_channel`.
+    """
+    pdp = profile.pdp
+    shape = pdp.shape if size is None else (size, len(pdp))
+    scale = np.sqrt(pdp / 2.0)
+    taps = scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
+    if profile.normalize_each_draw:
+        norm = np.sqrt(np.sum(taps.real**2 + taps.imag**2, axis=-1, keepdims=True))
+        taps = taps / np.where(norm > 0, norm, 1.0)
+    return taps
+
+
 def draw_channel(
     profile: ChannelProfile, rng: np.random.Generator, user_id: int = 0
 ) -> ChannelRealization:
@@ -174,16 +193,7 @@ def draw_channel(
     Deterministic given the generator state, so distinct RNG streams may
     drive independent Monte Carlo workers.
     """
-    pdp = profile.pdp
-    scale = np.sqrt(pdp / 2.0)
-    taps = scale * rng.standard_normal(len(pdp)) + 1j * (
-        scale * rng.standard_normal(len(pdp))
-    )
-    if profile.normalize_each_draw:
-        norm = np.linalg.norm(taps)
-        if norm > 0:
-            taps = taps / norm
-    return ChannelRealization(taps=taps, user_id=user_id)
+    return ChannelRealization(taps=draw_taps(profile, rng), user_id=user_id)
 
 
 def apply_channel(frame_samples: np.ndarray, h: ChannelRealization) -> np.ndarray:

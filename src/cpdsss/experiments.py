@@ -1,4 +1,4 @@
-"""Deterministic Monte Carlo experiments over the full transmit/receive chain.
+"""Deterministic Monte Carlo experiments of the link, sampled in the despread domain.
 
 Experiment kinds
 ----------------
@@ -8,11 +8,18 @@ PMD   miss-detection rate versus SNR
 ROC   detection versus false-alarm rate over a threshold sweep
 BER   uncoded bit error rate versus SNR
 
-Determinism contract: every trial draws its randomness from a private
-stream derived as (master_seed, point salt, trial index), so results are
-bit-identical for any worker count. Worker threads process fixed-size
-chunks of the trial range and partial aggregates are combined in chunk
-order, which keeps even floating-point reductions byte-stable.
+Sampling: a trial draws only what the receiver reads, the (K+1)*L
+despread window samples and the frame power, straight from their exact
+joint law (see ``_Scenario``), a whole chunk of trials at once. Frames
+are not built, convolved or despread; the public tx -> channel -> rx
+chain is what the tests check the sampler against.
+
+Determinism contract: the trials of one (curve, SNR point, hypothesis)
+are cut into fixed chunks of ``_CHUNK``, and chunk q draws from its own
+stream keyed by (master_seed, curve index, SNR index, hypothesis, q), so
+results are bit-identical for any worker count. Worker threads take whole
+chunks and partial aggregates are combined in chunk order, which keeps
+even floating-point reductions byte-stable.
 
 SNR definition: configured SNR is the per-sample received message power
 (averaged over bits and channel realizations, with unit-energy channels)
@@ -31,16 +38,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__ as _code_version
 from .analysis import DetectorDesign, H0Pdf, design_detector, p0_from_pfa, solve_threshold
-from .channel import ChannelProfile, NoiseSpec, ProfileKind, draw_channel, apply_channel, superpose
+from .channel import ChannelProfile, ProfileKind, draw_taps
 from .errors import ConfigError
-from .rx import despread_full, estimate_noise_power, pairwise_stats
-from .tx import add_cp, allocate_codes, remove_cp
-from .zc import cyclic_shift, generate_zc
+from .rx import pairwise_stats
+from .tx import allocate_codes
+from .zc import generate_zc
 
 __all__ = [
     "ExperimentKind",
@@ -53,6 +62,7 @@ __all__ = [
     "ExperimentResult",
     "CSV_COLUMNS",
     "wilson_interval",
+    "chunk_rng",
     "trial_rng",
     "amplitude_for_snr",
     "run_dist",
@@ -380,26 +390,20 @@ class ExperimentResult:
             )
         return "\n".join(lines) + "\n"
 
-    def sidecar_mapping(self) -> dict:
-        return {
-            "config": self.config.to_mapping(),
-            "config_hash": self.config.config_hash(),
-            "code_version": _code_version,
-            "derived": self.derived,
-        }
-
     def write(self, out_dir) -> tuple[str, str]:
         """Write the sidecar then the CSV, both atomically; returns their paths."""
-        os.makedirs(out_dir, exist_ok=True)
-        sidecar = os.path.join(out_dir, f"{self.config.name}.config.json")
+        sidecar = write_sidecar(self.config, self.derived, out_dir)
         csv_path = os.path.join(out_dir, f"{self.config.name}.csv")
-        _atomic_write(sidecar, json.dumps(self.sidecar_mapping(), indent=2, sort_keys=True) + "\n")
         _atomic_write(csv_path, self.to_csv_text())
         return csv_path, sidecar
 
 
 def write_sidecar(config: ExperimentConfig, derived: dict, out_dir) -> str:
-    """Echo the fully resolved config (plus derived design values) before running."""
+    """Echo the fully resolved config plus derived design values; returns its path.
+
+    The CLI writes it before any trial runs, and :meth:`ExperimentResult.write`
+    rewrites it with the derived values of the finished run.
+    """
     os.makedirs(out_dir, exist_ok=True)
     sidecar = os.path.join(out_dir, f"{config.name}.config.json")
     payload = {
@@ -437,8 +441,25 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def chunk_rng(
+    master_seed: int, curve_idx: int, snr_idx: int, hypothesis: int, chunk_idx: int
+) -> np.random.Generator:
+    """Private RNG stream for one chunk of trials of one experiment point.
+
+    Every index is a field of its own in the ``SeedSequence`` entropy, so
+    distinct (curve, SNR point, hypothesis, chunk) keys never share a
+    stream, however long the SNR grid.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence((master_seed, curve_idx, snr_idx, hypothesis, chunk_idx))
+    )
+
+
 def trial_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
-    """Private RNG stream for one trial, independent of worker scheduling."""
+    """Private RNG stream for one trial of a per-trial loop over the public chain.
+
+    The runners draw whole chunks from :func:`chunk_rng` instead.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, salt, index)))
 
 
@@ -448,89 +469,209 @@ def amplitude_for_snr(snr_db: float, n_len: int, noise_var: float, k_bits: int) 
     return sqrt(total_power / (k_bits + 1))
 
 
-def _salt(curve_idx: int, snr_idx: int, hypothesis: int) -> int:
-    return (curve_idx * 4096 + snr_idx) * 2 + hypothesis
+def _power(x: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over the last axis of a C-contiguous float64 or complex128 array."""
+    flat = x.view(np.float64)
+    return np.einsum("...i,...i->...", flat, flat)
 
 
-def _run_chunks(num_trials: int, jobs: int, fn):
-    """Apply fn(start, end) over fixed-size chunks; results in chunk order."""
-    spans = [(s, min(s + _CHUNK, num_trials)) for s in range(0, num_trials, _CHUNK)]
-    if jobs <= 1 or len(spans) <= 1:
-        return [fn(s, e) for s, e in spans]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(lambda se: fn(*se), spans))
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a``, as a stack of products of a few rows of ``a`` each.
+
+    OpenBLAS spreads a product of 2^16 or more multiply-adds over helper
+    threads, which spin on other cores and contend with the runners'
+    own worker threads; each of these smaller products stays on the
+    calling thread.
+    """
+    rows = max(1, ((1 << 16) - 1) // (a.shape[1] * b.shape[1]))
+    pad = -len(a) % rows
+    blocks = np.pad(a, ((0, pad), (0, 0))).reshape(-1, rows, a.shape[1])
+    return np.matmul(blocks, b).reshape(-1, b.shape[1])[: len(a)]
+
+
+class _Chunk(NamedTuple):
+    """What the receiver computes for a chunk of trials, stacked along axis 0."""
+
+    c: np.ndarray  # (B, n) pairwise statistics |Re[y_iH y_j]|, i < j
+    soft: np.ndarray  # (B, K) soft bit metrics Re[y_0H y_k]
+    bits: np.ndarray | None  # (B, K) information bits sent; None when no message is sent
+    est: np.ndarray  # (B,) frame power, the noise-variance estimate of est_sigma
 
 
 class _Scenario:
-    """Precomputed per-(config, curve) state shared read-only by all workers."""
+    """Precomputed per-(config, curve) state shared read-only by all workers.
+
+    Trials are drawn in the despread domain instead of being simulated
+    frame by frame. The cyclic shifts of the ZC root are an orthonormal
+    basis, so despreading is unitary: noise stays white CN(0, sigma^2), and
+    the receiver's inputs, the (K+1)*L window samples and the frame power,
+    can be drawn directly:
+
+    * a message sent through taps h despreads to ``sum_k a_k roll(h, i_k)``
+      (the circular convolution), less what the taps beyond the CP would
+      have taken from before the frame: the first ``len(h) - 1 - cp``
+      received samples miss those terms, and the miss is despread onto the
+      windows by a small precomputed product;
+    * the frame power follows by Parseval from the window samples, the
+      noiseless energy outside the windows, which sees one complex noise
+      sample along it, and sigma^2 * Gamma(N - W - 1) for the other
+      N - W - 1 noise dimensions (W = (K+1)*L).
+
+    Both are exact; the tests hold ``window_signal`` to the tx -> channel
+    -> rx chain.
+    """
 
     def __init__(self, config: ExperimentConfig, curve: CurveConfig, need_design=True):
         self.config = config
         self.curve = curve
-        self.basis = generate_zc(config.n_len, config.zc_root)
-        self.basis.conj_spectrum  # materialize the cache before threads start
-        self.assign = allocate_codes(
-            1, curve.k_bits, config.l_taps, config.n_len
-        )[0]
-        idx = np.asarray(self.assign.shift_indices)
-        self.win = (idx[:, None] + np.arange(config.l_taps)[None, :]) % config.n_len
-        self.codes = np.stack([cyclic_shift(self.basis, i) for i in self.assign.shift_indices])
+        n_len, cp_len = config.n_len, config.cp_len
+        self.basis = generate_zc(n_len, config.zc_root)
+        self.assign = allocate_codes(1, curve.k_bits, config.l_taps, n_len)[0]
+        shifts = np.asarray(self.assign.shift_indices)
+        self.win = (shifts[:, None] + np.arange(config.l_taps)[None, :]) % n_len
         self.profile = config.channel.to_profile()
-        self.noise = NoiseSpec(config.noise_var)
         self.design: DetectorDesign | None = None
         if need_design:
             self.design = design_detector(
                 config.target_pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var
             )
 
-    # Per-trial RNG draw order is fixed: bits, then channel, then noise.
+        seq, n_taps = self.basis.seq, len(self.profile.pdp)
+        n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
+        # Window j, sample r reads tap (o + r) mod N of code k, o = (i_j - i_k) mod N.
+        # Code pairs sharing an offset form a band; bands that reach no tap are dropped.
+        offset = (shifts[:, None] - shifts[None, :]) % n_len
+        self._bands = []
+        for o in sorted(set(offset.flat)):
+            tap = (o + np.arange(config.l_taps)) % n_len
+            if (tap < n_circ).any():
+                js, ks = np.nonzero(offset == o)
+                self._bands.append((js, ks, np.where(tap < n_circ, tap, n_circ)))
+        # ||despread circular convolution||^2 = sum_k a_k^2 ||h||^2
+        #   + 2 sum_{k<k'} a_k a_k' Re sum_m h[m] conj(h[(m + o_kk') mod N])
+        self._lags = []
+        for o in sorted(set(offset[np.triu_indices(len(shifts), 1)])):
+            m = np.arange(n_circ)
+            m_shift = (m + o) % n_len
+            overlap = m_shift < n_circ
+            if overlap.any():
+                ks, kps = np.nonzero(np.triu(offset == o, 1))
+                self._lags.append((ks, kps, m[overlap], m_shift[overlap]))
+        # Frame head: received sample n < head misses taps l > n + cp, which a
+        # circular convolution would have taken from the end of the body.
+        beyond_cp = max(n_taps - 1 - cp_len, 0)
+        head = min(beyond_cp, n_len)
+        n = np.arange(head)[:, None]
+        u = np.arange(n_taps + head - 1)
+        # code k's body samples u - (T-1), so that the reversed taps slide over them
+        self._code_seg = seq[(u[None, :] - (n_taps - 1) - shifts[:, None]) % n_len]
+        # column j of the reversed taps is tap T-1-j; only the first T-1-cp can be missing
+        self._missing = n_taps - 1 - np.arange(beyond_cp)[None, :] > n + cp_len
+        self._head_despread = np.conj(seq[(n - self.win.ravel()[None, :]) % n_len])
 
-    def h0_trial(self, rng) -> tuple[np.ndarray, float]:
-        y = superpose([], self.noise, rng, n_samples=self.config.n_len)
-        c, _, _ = pairwise_stats(despread_full(self.basis, y)[self.win])
-        return c, estimate_noise_power(y)
+    def window_signal(self, coef: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Noiseless window samples (B, K+1, L) and frame energies (B,).
 
-    def h1_trial(self, rng, amplitude: float):
-        k = self.curve.k_bits
-        bits = np.concatenate(([1.0], rng.choice([-1.0, 1.0], size=k)))
-        body = amplitude * (bits @ self.codes)
-        samples = add_cp(body, self.config.cp_len)
-        h = draw_channel(self.profile, rng)
-        rx = apply_channel(samples, h)
-        y_full = superpose([rx], self.noise, rng)
-        y = remove_cp(y_full, self.config.cp_len)
-        yprime = despread_full(self.basis, y)
-        vectors = yprime[self.win]
-        c, _, _ = pairwise_stats(vectors)
-        soft = (vectors[0].conj() @ vectors[1:].T).real
-        return c, soft, bits[1:], estimate_noise_power(y)
+        Row b sends the code amplitudes ``coef[b]`` (amplitude times bit,
+        reference first) through the channel ``taps[b]``.
+        """
+        n_len = self.config.n_len
+        size, n_taps = taps.shape
+        circ = taps
+        if n_taps > n_len:  # a response longer than the frame wraps around it
+            circ = np.zeros((size, -(-n_taps // n_len) * n_len), complex)
+            circ[:, :n_taps] = taps
+            circ = circ.reshape(size, -1, n_len).sum(axis=1)
+        energy = _power(circ) * _power(coef)
+        for ks, kps, m, m_shift in self._lags:
+            corr = np.sum(circ[:, m] * circ[:, m_shift].conj(), axis=1).real
+            energy += 2.0 * corr * np.sum(coef[:, ks] * coef[:, kps], axis=1)
+        circ = np.concatenate((circ, np.zeros((size, 1))), axis=1)  # a zero past the last tap
+        window = np.zeros((size, *self.win.shape), complex)
+        for js, ks, tap in self._bands:
+            window[:, js] += coef[:, ks, None] * circ[:, None, tap]
+        if len(self._missing):
+            rows = sliding_window_view(_matmul_rows(coef, self._code_seg), n_taps, axis=1)
+            reversed_taps = taps[:, ::-1]
+            circ_head = np.einsum("bnj,bj->bn", rows, reversed_taps)
+            cols = self._missing.shape[1]
+            missing = np.einsum(
+                "bnj,bj->bn", rows[:, :, :cols] * self._missing, reversed_taps[:, :cols]
+            )
+            window -= _matmul_rows(missing, self._head_despread).reshape(window.shape)
+            energy += _power(circ_head - missing) - _power(circ_head)
+        return window, energy
 
-    def thresholds(self, est_power: float, base_eta: float) -> float:
+    def chunk(self, rng, hypothesis: int, amplitude: float, size: int) -> _Chunk:
+        """``size`` trials of one hypothesis from ``rng``: bits, then channel, then noise."""
+        n_len, var = self.config.n_len, self.config.noise_var
+        width = self.win.size
+        bits, outside = None, 0.0
+        if hypothesis:
+            bits = rng.integers(0, 2, size=(size, self.curve.k_bits)) * 2.0 - 1.0
+            coef = amplitude * np.concatenate((np.ones((size, 1)), bits), axis=1)
+            signal, energy = self.window_signal(coef, draw_taps(self.profile, rng, size))
+            outside = np.maximum(energy - _power(signal.reshape(size, width)), 0.0)
+        sd = sqrt(var / 2.0)
+        x = sd * rng.standard_normal((size, 2 * width)).view(complex).reshape(size, *self.win.shape)
+        if hypothesis:
+            x += signal
+        # noise along the energy outside the windows, then across the other N - W - 1 dimensions
+        along = sd * rng.standard_normal((size, 2))
+        rest = var * rng.standard_gamma(n_len - width - 1, size)
+        est = (
+            _power(x.reshape(size, width)) + (np.sqrt(outside) + along[:, 0]) ** 2
+            + along[:, 1] ** 2 + rest
+        ) / n_len
+        c, _, _ = pairwise_stats(x)
+        soft = np.einsum("bl,bkl->bk", x[:, 0].conj(), x[:, 1:]).real
+        return _Chunk(c, soft, bits, est)
+
+    def thresholds(self, est: np.ndarray, eta) -> np.ndarray:
+        """Per-trial thresholds, shape est.shape + np.shape(eta).
+
+        ``eta`` is one threshold or a grid; est_sigma scales it by each
+        frame's power over the configured noise variance.
+        """
+        scale = np.ones_like(est)
         if self.config.threshold_mode is ThresholdMode.ANALYTIC_EST_SIGMA:
-            return base_eta * est_power / self.config.noise_var
-        return base_eta
+            scale = est / self.config.noise_var
+        return np.multiply.outer(scale, eta)
+
+    def detected(self, ch: _Chunk, eta) -> np.ndarray:
+        """M-of-n decisions, shape (B,) + np.shape(eta): M statistics strictly above eta."""
+        m = self.curve.m_of_n
+        mth = np.partition(ch.c, -m, axis=1)[:, -m]
+        return mth.reshape(mth.shape + (1,) * np.ndim(eta)) > self.thresholds(ch.est, eta)
+
+
+def _point(config: ExperimentConfig, jobs: int, sc: _Scenario, curve_idx: int, snr_idx: int,
+           hypothesis: int, amplitude: float, reduce) -> list:
+    """``reduce`` of every chunk of one experiment point, in chunk order."""
+
+    def one(q):
+        rng = chunk_rng(config.master_seed, curve_idx, snr_idx, hypothesis, q)
+        size = min(_CHUNK, config.num_trials - q * _CHUNK)
+        return reduce(sc.chunk(rng, hypothesis, amplitude, size))
+
+    chunks = range(-(-config.num_trials // _CHUNK))
+    if jobs <= 1 or len(chunks) <= 1:
+        return [one(q) for q in chunks]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(one, chunks))
 
 
 def run_pfa(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Noise-only frames through the full receiver; empirical false-alarm rate per curve."""
+    """Noise-only frames through the receiver; empirical false-alarm rate per curve."""
     if config.kind is not ExperimentKind.PFA:
         raise ConfigError("run_pfa needs kind = 'pfa'")
     rows, derived = [], {"curves": []}
     for ci, curve in enumerate(config.curves):
         sc = _Scenario(config, curve)
         eta = sc.design.eta
-        salt = _salt(ci, 0, 0)
-
-        def chunk(start, end):
-            det = 0
-            for t in range(start, end):
-                rng = trial_rng(config.master_seed, salt, t)
-                c, est = sc.h0_trial(rng)
-                if int((c > sc.thresholds(est, eta)).sum()) >= curve.m_of_n:
-                    det += 1
-            return det
-
-        detections = sum(_run_chunks(config.num_trials, jobs, chunk))
+        detections = sum(
+            _point(config, jobs, sc, ci, 0, 0, 0.0, lambda ch: int(sc.detected(ch, eta).sum()))
+        )
         pfa = detections / config.num_trials
         lo, hi = wilson_interval(detections, config.num_trials)
         rows.append(
@@ -558,18 +699,10 @@ def run_pmd(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
             amps[format(snr, ".6g")] = amp
-            salt = _salt(ci, si, 1)
-
-            def chunk(start, end):
-                miss = 0
-                for t in range(start, end):
-                    rng = trial_rng(config.master_seed, salt, t)
-                    c, _, _, est = sc.h1_trial(rng, amp)
-                    if int((c > sc.thresholds(est, eta)).sum()) < curve.m_of_n:
-                        miss += 1
-                return miss
-
-            misses = sum(_run_chunks(config.num_trials, jobs, chunk))
+            misses = sum(
+                _point(config, jobs, sc, ci, si, 1, amp,
+                       lambda ch: int((~sc.detected(ch, eta)).sum()))
+            )
             pmd = misses / config.num_trials
             lo, hi = wilson_interval(misses, config.num_trials)
             rows.append(
@@ -603,48 +736,17 @@ def run_roc(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                 pdf_cache[key] = solve_threshold(h0pdf, p0)
             etas.append(pdf_cache[key])
         etas_arr = np.asarray(etas)
-        m = curve.m_of_n
 
-        def mth_largest(c):
-            return float(np.partition(c, -m)[-m])
+        def counts(ch):
+            return sc.detected(ch, etas_arr).sum(axis=0)
 
-        salt_h0 = _salt(ci, 0, 0)
-
-        def chunk_h0(start, end):
-            counts = np.zeros(len(etas_arr), dtype=np.int64)
-            for t in range(start, end):
-                rng = trial_rng(config.master_seed, salt_h0, t)
-                c, est = sc.h0_trial(rng)
-                scale = (
-                    est / config.noise_var
-                    if config.threshold_mode is ThresholdMode.ANALYTIC_EST_SIGMA
-                    else 1.0
-                )
-                counts += mth_largest(c) > etas_arr * scale
-            return counts
-
-        h0_counts = sum(_run_chunks(config.num_trials, jobs, chunk_h0))
+        h0_counts = sum(_point(config, jobs, sc, ci, 0, 0, 0.0, counts))
 
         curve_info = {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
                       "pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas_arr))}
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            salt = _salt(ci, si, 1)
-
-            def chunk_h1(start, end):
-                counts = np.zeros(len(etas_arr), dtype=np.int64)
-                for t in range(start, end):
-                    rng = trial_rng(config.master_seed, salt, t)
-                    c, _, _, est = sc.h1_trial(rng, amp)
-                    scale = (
-                        est / config.noise_var
-                        if config.threshold_mode is ThresholdMode.ANALYTIC_EST_SIGMA
-                        else 1.0
-                    )
-                    counts += mth_largest(c) > etas_arr * scale
-                return counts
-
-            h1_counts = sum(_run_chunks(config.num_trials, jobs, chunk_h1))
+            h1_counts = sum(_point(config, jobs, sc, ci, si, 1, amp, counts))
             for gi, pfa in enumerate(config.roc_pfa_grid):
                 tag = format(pfa, ".6g")
                 lo, hi = wilson_interval(int(h1_counts[gi]), config.num_trials)
@@ -676,28 +778,17 @@ def run_ber(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     for ci, curve in enumerate(config.curves):
         sc = _Scenario(config, curve, need_design=gated)
         eta = sc.design.eta if gated else None
+
+        def errors(ch):
+            kept = sc.detected(ch, eta) if gated else np.ones(len(ch.est), dtype=bool)
+            hard = np.where(ch.soft >= 0, 1.0, -1.0)
+            det = int(kept.sum())
+            return int((hard != ch.bits)[kept].sum()), det * curve.k_bits, det
+
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            salt = _salt(ci, si, 1)
-
-            def chunk(start, end):
-                errs = nbits = det = 0
-                for t in range(start, end):
-                    rng = trial_rng(config.master_seed, salt, t)
-                    c, soft, bits, est = sc.h1_trial(rng, amp)
-                    if gated:
-                        if int((c > sc.thresholds(est, eta)).sum()) < curve.m_of_n:
-                            continue
-                        det += 1
-                    hard = np.where(soft >= 0, 1.0, -1.0)
-                    errs += int((hard != bits).sum())
-                    nbits += len(bits)
-                return errs, nbits, det
-
-            parts = _run_chunks(config.num_trials, jobs, chunk)
-            errs = sum(p[0] for p in parts)
-            nbits = sum(p[1] for p in parts)
-            det = sum(p[2] for p in parts)
+            errs, nbits, det = np.sum(_point(config, jobs, sc, ci, si, 1, amp, errors), axis=0)
+            errs, nbits, det = int(errs), int(nbits), int(det)
             ber = errs / nbits if nbits else 0.0
             lo, hi = wilson_interval(errs, nbits) if nbits else (0.0, 1.0)
             rows.append(
@@ -732,31 +823,14 @@ def run_dist(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     for ci, curve in enumerate(config.curves):
         sc = _Scenario(config, curve, need_design=False)
 
-        salt_h0 = _salt(ci, 0, 0)
+        def samples(ch):
+            return ch.c.ravel()
 
-        def chunk_h0(start, end):
-            out = []
-            for t in range(start, end):
-                rng = trial_rng(config.master_seed, salt_h0, t)
-                c, _ = sc.h0_trial(rng)
-                out.append(c)
-            return np.concatenate(out)
-
-        h0_samples = np.concatenate(_run_chunks(config.num_trials, jobs, chunk_h0))
+        h0_samples = np.concatenate(_point(config, jobs, sc, ci, 0, 0, 0.0, samples))
 
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            salt = _salt(ci, si, 1)
-
-            def chunk_h1(start, end):
-                out = []
-                for t in range(start, end):
-                    rng = trial_rng(config.master_seed, salt, t)
-                    c, _, _, _ = sc.h1_trial(rng, amp)
-                    out.append(c)
-                return np.concatenate(out)
-
-            h1_samples = np.concatenate(_run_chunks(config.num_trials, jobs, chunk_h1))
+            h1_samples = np.concatenate(_point(config, jobs, sc, ci, si, 1, amp, samples))
             top = 1.05 * max(
                 float(np.quantile(h0_samples, 0.999)), float(np.quantile(h1_samples, 0.999)), 1e-12
             )

@@ -114,12 +114,13 @@ def _pair_indices(count: int) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_stats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All |Re[y_iH y_j]| for i < j, plus the (i, j) index arrays.
 
-    Single arithmetic path shared by :func:`decision_stats` and the Monte
-    Carlo engine.
+    ``vectors`` is (K+1, L), or a stack (..., K+1, L) of such sets whose
+    statistics come back stacked the same way. Single arithmetic path
+    shared by :func:`decision_stats` and the Monte Carlo engine.
     """
-    gram = vectors.conj() @ vectors.T
-    i_idx, j_idx = _pair_indices(vectors.shape[0])
-    return np.abs(gram.real[i_idx, j_idx]), i_idx, j_idx
+    gram = vectors.conj() @ vectors.swapaxes(-1, -2)
+    i_idx, j_idx = _pair_indices(vectors.shape[-2])
+    return np.abs(gram.real[..., i_idx, j_idx]), i_idx, j_idx
 
 
 def decision_stats(ds: DespreadSet) -> DecisionStats:

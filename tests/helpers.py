@@ -3,7 +3,9 @@
 Everything here is deliberately written on a different arithmetic path
 from the package code: dense matrix products instead of FFTs, scipy's
 incomplete gamma functions instead of the package's log-space tail sum,
-explicit loops instead of vectorized kernels.
+explicit loops instead of vectorized kernels, and whole frames through
+the public tx -> channel -> rx functions instead of the experiments'
+despread-domain sampler.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaincc
 
+from cpdsss.channel import NoiseSpec, apply_channel, draw_channel, superpose
+from cpdsss.rx import (
+    despread_full, estimate_noise_power, extract_user, pairwise_stats, recover_bits,
+)
+from cpdsss.tx import add_cp, build_message, remove_cp
 from cpdsss.zc import ZcBasis, cyclic_shift
 
 
@@ -136,3 +143,31 @@ def binomial_tail_oracle(p0: float, n: int, m: int) -> float:
     from scipy.special import betainc
 
     return float(betainc(m, n - m + 1, p0))
+
+
+def full_chain_h0(sc, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """One noise-only frame through the receiver: pairwise statistics and frame power.
+
+    ``sc`` is an experiments ``_Scenario``; it supplies the basis, the code
+    assignment and the configuration.
+    """
+    y = superpose([], NoiseSpec(sc.config.noise_var), rng, n_samples=sc.config.n_len)
+    c, _, _ = pairwise_stats(extract_user(despread_full(sc.basis, y), sc.assign).vectors)
+    return c, estimate_noise_power(y)
+
+
+def full_chain_h1(sc, rng: np.random.Generator, amplitude: float):
+    """One message frame through tx -> channel -> rx; draws bits, then channel, then noise.
+
+    Returns the pairwise statistics, the soft bit metrics, the information
+    bits sent and the frame power.
+    """
+    cp_len = sc.config.cp_len
+    bits = [1] + [int(b) for b in rng.choice([-1, 1], size=sc.curve.k_bits)]
+    samples = add_cp(build_message(sc.basis, sc.assign, bits, amplitude), cp_len)
+    received = apply_channel(samples, draw_channel(sc.profile, rng))
+    y = remove_cp(superpose([received], NoiseSpec(sc.config.noise_var), rng), cp_len)
+    ds = extract_user(despread_full(sc.basis, y), sc.assign)
+    c, _, _ = pairwise_stats(ds.vectors)
+    _, soft = recover_bits(ds)
+    return c, np.asarray(soft), np.asarray(bits[1:], dtype=float), estimate_noise_power(y)

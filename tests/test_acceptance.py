@@ -12,7 +12,13 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import kstest
 
-from helpers import cf_inversion_oracle, crossing_snr_db, dense_despread, sample_h0_statistic
+from helpers import (
+    cf_inversion_oracle,
+    crossing_snr_db,
+    dense_despread,
+    full_chain_h0,
+    sample_h0_statistic,
+)
 
 from cpdsss import cli
 from cpdsss.analysis import (
@@ -32,7 +38,6 @@ from cpdsss.experiments import (
     run_pfa,
     run_pmd,
     run_roc,
-    trial_rng,
 )
 from cpdsss.rx import despread_full, direct_mul_count, fft_mul_count
 from cpdsss.zc import cyclic_shift, generate_zc
@@ -53,7 +58,7 @@ def _collect_h0_statistics(num_trials: int, seed: int) -> np.ndarray:
     sc = _Scenario(config, config.curves[0], need_design=False)
     out = np.empty(num_trials)
     for t in range(num_trials):
-        c, _ = sc.h0_trial(trial_rng(seed, 0, t))
+        c, _ = full_chain_h0(sc, np.random.default_rng(np.random.SeedSequence((seed, 0, t))))
         out[t] = c[0]
     return out
 

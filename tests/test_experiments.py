@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import gamma, ks_2samp, kstest, ncx2
 
-from helpers import erlang_mixture_cdf
+from helpers import erlang_mixture_cdf, full_chain_h0, full_chain_h1
 
+from cpdsss.channel import ChannelRealization, apply_channel, draw_taps
 from cpdsss.errors import ConfigError
 from cpdsss.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     ThresholdMode,
+    _Scenario,
     amplitude_for_snr,
+    chunk_rng,
     run_ber,
     run_dist,
     run_experiment,
@@ -22,6 +25,8 @@ from cpdsss.experiments import (
     trial_rng,
     wilson_interval,
 )
+from cpdsss.rx import despread_full, extract_user, pairwise_stats
+from cpdsss.tx import add_cp, build_message, remove_cp
 
 
 def cfg(**kw):
@@ -111,6 +116,140 @@ def test_trial_rng_streams_are_stable_and_distinct():
     c = trial_rng(1, 2, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_chunk_rng_streams_are_stable_and_distinct():
+    a = chunk_rng(1, 2, 3, 1, 4).standard_normal(4)
+    b = chunk_rng(1, 2, 3, 1, 4).standard_normal(4)
+    c = chunk_rng(1, 2, 3, 1, 5).standard_normal(4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_chunk_rng_keys_curve_and_snr_point_separately():
+    # a salt of curve * 4096 + snr point gave these two keys one stream
+    a = chunk_rng(1, 0, 4096, 1, 0).standard_normal(4)
+    b = chunk_rng(1, 1, 0, 1, 0).standard_normal(4)
+    assert not np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------- sampler ----
+
+SAMPLER_CHANNELS = {
+    # id: (config overrides, channel taps)
+    "tdl_a_300ns": ({}, 90),  # 18 taps beyond the CP of 72
+    "exp_pdp_cp_long": ({"channel": {"kind": "exp_pdp", "max_taps": 72}}, 72),
+    "flat": ({"channel": {"kind": "flat"}}, 1),
+    "unnormalized": ({"channel": {"normalize_each_draw": False}}, 90),
+    "longer_than_frame": (
+        {"n_len": 64, "cp_len": 8, "l_taps": 4,
+         "channel": {"kind": "exp_pdp", "max_taps": 128, "rms_delay_spread_ns": 3000.0}},
+        128,
+    ),
+}
+
+
+@pytest.mark.parametrize("k_bits", [1, 10])
+@pytest.mark.parametrize("case", SAMPLER_CHANNELS.values(), ids=SAMPLER_CHANNELS)
+def test_sampler_signal_equals_full_chain(case, k_bits):
+    overrides, n_taps = case
+    config = cfg(kind="pmd", snr_grid_db=[0.0], curves=[{"k_bits": k_bits, "m_of_n": 1}],
+                 **overrides)
+    sc = _Scenario(config, config.curves[0], need_design=False)
+    assert len(sc.profile.pdp) == n_taps
+    rng = np.random.default_rng(17)
+    size, amp = 6, 3.0
+    bits = rng.choice([-1, 1], size=(size, k_bits))
+    taps = draw_taps(sc.profile, rng, size)
+    windows, energy = sc.window_signal(amp * np.hstack([np.ones((size, 1)), bits]), taps)
+    for b in range(size):
+        body = build_message(sc.basis, sc.assign, [1, *bits[b]], amp)
+        received = apply_channel(add_cp(body, config.cp_len), ChannelRealization(taps[b]))
+        y = remove_cp(received, config.cp_len)
+        expected = extract_user(despread_full(sc.basis, y), sc.assign).vectors
+        assert np.abs(windows[b] - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert energy[b] == pytest.approx(np.vdot(y, y).real, rel=1e-10)
+
+
+def _chunk_and_signal(sc, seed, size, amp):
+    """A message chunk from ``seed``, and its noiseless signal redrawn in the chunk's order."""
+    ch = sc.chunk(np.random.default_rng(seed), 1, amp, size)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(size, sc.curve.k_bits)) * 2.0 - 1.0
+    taps = draw_taps(sc.profile, rng, size)
+    windows, energy = sc.window_signal(amp * np.hstack([np.ones((size, 1)), bits]), taps)
+    return ch, bits, windows, energy
+
+
+@pytest.mark.parametrize("k_bits", [1, 10])
+def test_chunk_at_vanishing_noise_is_the_noiseless_signal(k_bits):
+    config = cfg(kind="pmd", snr_grid_db=[0.0], curves=[{"k_bits": k_bits, "m_of_n": 1}],
+                 noise_var=1e-24)
+    sc = _Scenario(config, config.curves[0], need_design=False)
+    ch, bits, windows, energy = _chunk_and_signal(sc, 3, 50, 2.0)
+    assert np.array_equal(ch.bits, bits)
+    assert ch.est * config.n_len == pytest.approx(energy, rel=1e-9)
+    assert ch.c == pytest.approx(pairwise_stats(windows)[0], rel=1e-9)
+    soft = np.einsum("bl,bkl->bk", windows[:, 0].conj(), windows[:, 1:]).real
+    assert ch.soft == pytest.approx(soft, rel=1e-9)
+
+
+def test_frame_power_given_the_signal_is_noncentral_chi2():
+    # 2N est / sigma^2 is noncentral chi^2 with 2N degrees of freedom and
+    # noncentrality 2E / sigma^2, E the noiseless frame energy; at L=4 most
+    # of E lies outside the windows, where only the frame power sees it
+    config = cfg(kind="pmd", snr_grid_db=[0.0], l_taps=4, noise_var=0.5)
+    sc = _Scenario(config, config.curves[0], need_design=False)
+    amp = amplitude_for_snr(0.0, config.n_len, config.noise_var, 1)
+    parts = [_chunk_and_signal(sc, seed, 256, amp) for seed in range(40)]
+    est = np.concatenate([p[0].est for p in parts])
+    energy = np.concatenate([p[3] for p in parts])
+    in_windows = np.concatenate([np.sum(np.abs(p[2]) ** 2, axis=(1, 2)) for p in parts])
+    assert np.mean(energy - in_windows) > 0.5 * np.mean(energy)
+    dof = 2 * config.n_len
+    uniform = ncx2.cdf(dof * est / config.noise_var, dof, 2 * energy / config.noise_var)
+    assert kstest(uniform, "uniform").pvalue > 1e-3
+
+
+def test_noise_only_frame_power_is_gamma_distributed():
+    # N * est / sigma^2 sums N unit-mean exponentials: Gamma(N, 1), exactly
+    config = cfg(kind="pfa", noise_var=2.5)
+    sc = _Scenario(config, config.curves[0], need_design=False)
+    est = np.concatenate([sc.chunk(chunk_rng(8, 0, 0, 0, q), 0, 0.0, 256).est for q in range(200)])
+    scaled = est * config.n_len / config.noise_var
+    assert kstest(scaled, gamma(config.n_len).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("hypothesis", [0, 1])
+@pytest.mark.parametrize("k_bits, m_of_n", [(1, 1), (10, 20)])
+def test_sampler_matches_full_chain_in_distribution(k_bits, m_of_n, hypothesis):
+    config = cfg(kind="pmd", snr_grid_db=[-12.0], curves=[{"k_bits": k_bits, "m_of_n": m_of_n}],
+                 threshold_mode="est_sigma")
+    sc = _Scenario(config, config.curves[0], need_design=False)
+    amp = amplitude_for_snr(-12.0, config.n_len, config.noise_var, k_bits)
+    names = ["c[0]", "mth", "est"] + (["soft[0]"] if hypothesis else [])
+
+    def scalars(c, soft, est):
+        return {"c[0]": c[..., 0], "mth": np.sort(c, axis=-1)[..., -m_of_n],
+                "soft[0]": soft[..., 0], "est": est}
+
+    sampled = [scalars(ch.c, ch.soft, ch.est)
+               for ch in (sc.chunk(chunk_rng(5, 0, 0, hypothesis, q), hypothesis, amp, 256)
+                          for q in range(24))]
+    oracle = []
+    for t in range(3000):
+        rng = np.random.default_rng(np.random.SeedSequence((6, hypothesis, t)))
+        if hypothesis:
+            c, soft, _, est = full_chain_h1(sc, rng, amp)
+        else:
+            (c, est), soft = full_chain_h0(sc, rng), np.zeros(k_bits)
+        oracle.append(scalars(c, soft, est))
+    # one scalar per trial and statistic: pooling the correlated pairs of a
+    # trial would make the test reject too often
+    for name in names:
+        p_value = ks_2samp(np.concatenate([s[name] for s in sampled]),
+                           [o[name] for o in oracle]).pvalue
+        assert p_value > 1e-3, f"{name}: KS p = {p_value:.2g}"
 
 
 # ------------------------------------------------------------- experiments ----
