@@ -20,9 +20,7 @@ from importlib import import_module
 from ._version import __version__
 
 _EXPORTS = {
-    "zc": (
-        "ZcBasis", "ShiftWindow", "generate_zc", "cyclic_shift", "window_product",
-    ),
+    "zc": ("ZcBasis", "generate_zc", "cyclic_shift"),
     "tx": (
         "CodeAssignment", "UsrMessage", "TxFrame", "allocate_codes", "build_message",
         "add_cp", "remove_cp",
@@ -33,8 +31,8 @@ _EXPORTS = {
         "draw_taps", "draw_channel", "apply_channel", "superpose",
     ),
     "rx": (
-        "DespreadSet", "DecisionStats", "DetectionOutcome", "despread_full",
-        "extract_user", "decision_stats", "detect", "recover_bits", "estimate_noise_power",
+        "DespreadSet", "despread_full", "extract_user", "detect", "recover_bits",
+        "estimate_noise_power",
     ),
     "analysis": (
         "bessel_k_half", "H0Pdf", "h0_pdf", "h0_cdf", "solve_threshold",

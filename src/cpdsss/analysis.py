@@ -28,10 +28,7 @@ how estimated-noise thresholds are applied per frame without re-solving.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, expm1, inf, lgamma, log, pi, sqrt
@@ -50,13 +47,10 @@ __all__ = [
     "p0_from_pfa",
     "DetectorDesign",
     "design_detector",
-    "write_threshold_table",
     "occupancy_fraction",
     "processing_gain_db",
     "interference_rise_db",
 ]
-
-THRESHOLD_TABLE_COLUMNS = ["L", "sigma2", "K", "M", "n", "p0", "eta", "target_pfa"]
 
 
 @lru_cache(maxsize=128)
@@ -301,35 +295,6 @@ def design_detector(
         l_taps=l_taps,
         noise_var=noise_var,
     )
-
-
-def write_threshold_table(path, entries: list[tuple[int, DetectorDesign]]) -> None:
-    """Write (K, design) rows as CSV with the documented column set, atomically."""
-    path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(THRESHOLD_TABLE_COLUMNS)
-            for k_bits, d in entries:
-                writer.writerow(
-                    [
-                        d.l_taps,
-                        format(d.noise_var, ".12g"),
-                        k_bits,
-                        d.m_of_n,
-                        d.n_pairs,
-                        format(d.p0, ".12g"),
-                        format(d.eta, ".12g"),
-                        format(d.target_pfa, ".12g"),
-                    ]
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def occupancy_fraction(num_ues: int, sr_rate_per_ue: float, symbol_rate: float) -> float:

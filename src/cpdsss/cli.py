@@ -12,9 +12,9 @@ import math
 import os
 import sys
 
-from .analysis import design_detector, write_threshold_table
+from .analysis import design_detector
 from .errors import ConfigError, NumericalError
-from .experiments import ExperimentConfig, run_experiment, write_sidecar
+from .experiments import ExperimentConfig, run_experiment, write_sidecar, write_threshold_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,18 +91,27 @@ def _cmd_design_threshold(args) -> int:
     for noise_var in args.noise_var:
         if not (math.isfinite(noise_var) and noise_var > 0):
             raise ConfigError(f"noise variance must be finite and positive, got {noise_var}")
+    for pfa in args.target_pfa:
+        if not 0.0 < pfa < 1.0:
+            raise ConfigError(f"target PFA must be in (0, 1), got {pfa}")
+    for l_taps in args.l_taps:
+        if l_taps < 1:
+            raise ConfigError(f"L must be >= 1, got {l_taps}")
+    for k_bits in args.k_bits:
+        n_pairs = k_bits * (k_bits + 1) // 2
+        if k_bits < 1 or not all(1 <= m_of_n <= n_pairs for m_of_n in args.m_of_n):
+            raise ConfigError(
+                f"need K >= 1 and every M in [1, K(K+1)/2], got K={k_bits}, M={args.m_of_n}"
+            )
     entries = []
     for l_taps in args.l_taps:
         for noise_var in args.noise_var:
             for k_bits in args.k_bits:
                 for m_of_n in args.m_of_n:
                     for pfa in args.target_pfa:
-                        if not 0.0 < pfa < 1.0:
-                            raise ConfigError(f"target PFA must be in (0, 1), got {pfa}")
                         entries.append(
                             (k_bits, design_detector(pfa, k_bits, m_of_n, l_taps, noise_var))
                         )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "thresholds.csv")
     write_threshold_table(path, entries)
     print(f"wrote {len(entries)} design rows to {path}")
@@ -164,7 +173,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CapacityError", "UnsupportedConfiguration", "ConfigError", "NumericalError"]
+
 
 class CapacityError(ValueError):
     """Raised when a code allocation request exceeds what the sequence length supports."""

@@ -37,17 +37,17 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite, sqrt
+from math import gcd, inf, isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__ as _code_version
-from .analysis import DetectorDesign, H0Pdf, design_detector, p0_from_pfa, solve_threshold
+from .analysis import DetectorDesign, design_detector
 from .channel import ChannelProfile, ProfileKind, draw_taps
 from .errors import ConfigError
-from .rx import pairwise_stats
+from .rx import detect, pairwise_stats
 from .tx import allocate_codes
 from .zc import generate_zc
 
@@ -61,6 +61,8 @@ __all__ = [
     "ResultRow",
     "ExperimentResult",
     "CSV_COLUMNS",
+    "THRESHOLD_TABLE_COLUMNS",
+    "write_threshold_table",
     "wilson_interval",
     "chunk_rng",
     "trial_rng",
@@ -86,6 +88,8 @@ CSV_COLUMNS = [
     "trials",
     "seed",
 ]
+
+THRESHOLD_TABLE_COLUMNS = ["L", "sigma2", "K", "M", "n", "p0", "eta", "target_pfa"]
 
 _CHUNK = 256  # fixed chunk size; must not depend on the worker count
 
@@ -125,22 +129,27 @@ class ChannelConfig:
     normalize_each_draw: bool = True
 
     def __post_init__(self):
+        if self.kind not in {k.value for k in ProfileKind}:
+            raise ConfigError(f"unknown channel kind: {self.kind!r}")
         if not isfinite(self.rms_delay_spread_ns):
             raise ConfigError(
                 f"channel.rms_delay_spread_ns must be finite, got {self.rms_delay_spread_ns}"
+            )
+        if self.kind != ProfileKind.FLAT.value and not self.rms_delay_spread_ns > 0:
+            raise ConfigError(
+                f"channel.rms_delay_spread_ns must be positive for kind {self.kind!r}, "
+                f"got {self.rms_delay_spread_ns}"
             )
         if not (isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ConfigError(
                 f"channel.sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
             )
+        if self.max_taps < 1:
+            raise ConfigError(f"channel.max_taps must be >= 1, got {self.max_taps}")
 
     def to_profile(self) -> ChannelProfile:
-        try:
-            pk = ProfileKind(self.kind)
-        except ValueError:
-            raise ConfigError(f"unknown channel kind: {self.kind!r}") from None
         return ChannelProfile(
-            kind=pk,
+            kind=ProfileKind(self.kind),
             rms_delay_spread=self.rms_delay_spread_ns * 1e-9,
             sample_rate=self.sample_rate_hz,
             max_taps=self.max_taps,
@@ -148,35 +157,64 @@ class ChannelConfig:
         )
 
 
-_CHANNEL_KEYS = {
-    "kind",
-    "rms_delay_spread_ns",
-    "sample_rate_hz",
-    "max_taps",
-    "normalize_each_draw",
+# config key -> the type its value converts to (tuple: a list of numbers)
+_CHANNEL_FIELDS = {
+    "kind": str,
+    "rms_delay_spread_ns": float,
+    "sample_rate_hz": float,
+    "max_taps": int,
+    "normalize_each_draw": bool,
 }
-_CURVE_KEYS = {"k_bits", "m_of_n"}
+_CURVE_FIELDS = {"k_bits": int, "m_of_n": int}
+_SCALAR_FIELDS = {
+    "name": str,
+    "n_len": int,
+    "cp_len": int,
+    "l_taps": int,
+    "zc_root": int,
+    "noise_var": float,
+    "target_pfa": float,
+    "snr_grid_db": tuple,
+    "num_trials": int,
+    "master_seed": int,
+    "roc_pfa_grid": tuple,
+    "dist_bins": int,
+}
 _CONFIG_KEYS = {
-    "kind",
-    "name",
-    "n_len",
-    "cp_len",
-    "l_taps",
-    "zc_root",
-    "noise_var",
-    "k_bits",
-    "m_of_n",
-    "curves",
-    "target_pfa",
-    "snr_grid_db",
-    "num_trials",
-    "master_seed",
-    "threshold_mode",
-    "ber_detection_gate",
-    "roc_pfa_grid",
-    "dist_bins",
-    "channel",
+    "kind", "curves", "threshold_mode", "ber_detection_gate", "channel",
+    *_CURVE_FIELDS, *_SCALAR_FIELDS,
 }
+_TYPE_NAMES = {
+    str: "a string", bool: "true or false", int: "an integer", float: "a number",
+    tuple: "a list of numbers",
+}
+
+
+def _checked(value, kind, label: str):
+    """A config value as ``kind`` (str, bool, int, float, or tuple for a list of floats).
+
+    A string is parsed where a number belongs, so ``--set noise_var=nan``
+    reaches the range checks. Any other type, or a fraction where an
+    integer belongs, is a ConfigError.
+    """
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return tuple(_checked(v, float, label) for v in value)
+    if kind in (str, bool) and isinstance(value, kind):
+        return value
+    if kind in (int, float) and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            try:
+                return float(value)
+            except OverflowError:  # an integer past the float range; the range checks reject it
+                return inf if value > 0 else -inf
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ConfigError(f"{label} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -208,6 +246,11 @@ class ExperimentConfig:
             raise ConfigError("cp_len must be in [0, n_len)")
         if self.l_taps < 1:
             raise ConfigError("l_taps must be >= 1")
+        if not (self.zc_root >= 1 and gcd(self.zc_root, self.n_len) == 1):
+            raise ConfigError(
+                f"zc_root must be a positive integer coprime with n_len={self.n_len}, "
+                f"got {self.zc_root}"
+            )
         if not (isfinite(self.noise_var) and self.noise_var > 0):
             raise ConfigError(f"noise_var must be finite and positive, got {self.noise_var}")
         if not 0.0 < self.target_pfa < 1.0:
@@ -226,8 +269,23 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"m_of_n must be in [1, {n_pairs}] for k_bits={c.k_bits}, got {c.m_of_n}"
                 )
+            shifts = (c.k_bits + 1) * (self.l_taps + 1)
+            if shifts > self.n_len:
+                raise ConfigError(
+                    f"k_bits={c.k_bits} with l_taps={self.l_taps} needs {shifts} code shifts, "
+                    f"more than n_len={self.n_len}"
+                )
         if self.kind is not ExperimentKind.PFA and not self.snr_grid_db:
             raise ConfigError(f"{self.kind.value} experiments need a non-empty snr_grid_db")
+        if not all(isfinite(v) for v in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db must be finite, got {list(self.snr_grid_db)}")
+        roc_without_grid = self.kind is ExperimentKind.ROC and not self.roc_pfa_grid
+        if roc_without_grid or not all(0.0 < p < 1.0 for p in self.roc_pfa_grid):
+            raise ConfigError(
+                f"roc_pfa_grid must hold values in (0, 1), got {list(self.roc_pfa_grid)}"
+            )
+        if self.dist_bins < 1:
+            raise ConfigError(f"dist_bins must be >= 1, got {self.dist_bins}")
 
     @classmethod
     def from_mapping(cls, m: dict) -> "ExperimentConfig":
@@ -245,36 +303,28 @@ class ExperimentConfig:
 
         if "curves" in m and ("k_bits" in m or "m_of_n" in m):
             raise ConfigError("give either 'curves' or top-level k_bits/m_of_n, not both")
-        if "curves" in m:
-            curves = []
-            for entry in m["curves"]:
-                if not isinstance(entry, dict):
-                    raise ConfigError("each curve must be an object")
-                bad = set(entry) - _CURVE_KEYS
-                if bad:
-                    raise ConfigError(f"unknown curve keys: {sorted(bad)}")
-                curves.append(
-                    CurveConfig(
-                        k_bits=int(entry.get("k_bits", 1)),
-                        m_of_n=int(entry.get("m_of_n", 1)),
-                    )
-                )
-            curves = tuple(curves)
-        else:
-            curves = (CurveConfig(k_bits=int(m.get("k_bits", 1)), m_of_n=int(m.get("m_of_n", 1))),)
+        entries = m.get("curves", [{k: m[k] for k in _CURVE_FIELDS if k in m}])
+        if not isinstance(entries, list):
+            raise ConfigError(f"curves must be a list of objects, got {entries!r}")
+        curves = []
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ConfigError("each curve must be an object")
+            bad = set(entry) - set(_CURVE_FIELDS)
+            if bad:
+                raise ConfigError(f"unknown curve keys: {sorted(bad)}")
+            curves.append(
+                CurveConfig(**{k: _checked(v, _CURVE_FIELDS[k], k) for k, v in entry.items()})
+            )
 
         chan = m.get("channel", {})
         if not isinstance(chan, dict):
             raise ConfigError("'channel' must be an object")
-        bad = set(chan) - _CHANNEL_KEYS
+        bad = set(chan) - set(_CHANNEL_FIELDS)
         if bad:
             raise ConfigError(f"unknown channel keys: {sorted(bad)}")
         channel = ChannelConfig(
-            kind=str(chan.get("kind", "tdl_a")),
-            rms_delay_spread_ns=float(chan.get("rms_delay_spread_ns", 300.0)),
-            sample_rate_hz=float(chan.get("sample_rate_hz", 30.72e6)),
-            max_taps=int(chan.get("max_taps", 128)),
-            normalize_each_draw=bool(chan.get("normalize_each_draw", True)),
+            **{k: _checked(v, _CHANNEL_FIELDS[k], f"channel.{k}") for k, v in chan.items()}
         )
 
         def _mode(value, enum, label):
@@ -285,26 +335,15 @@ class ExperimentConfig:
 
         return cls(
             kind=kind,
-            name=str(m.get("name", "")),
-            n_len=int(m.get("n_len", 1024)),
-            cp_len=int(m.get("cp_len", 72)),
-            l_taps=int(m.get("l_taps", 40)),
-            zc_root=int(m.get("zc_root", 1)),
-            noise_var=float(m.get("noise_var", 1.0)),
-            curves=curves,
-            target_pfa=float(m.get("target_pfa", 1e-3)),
-            snr_grid_db=tuple(float(v) for v in m.get("snr_grid_db", ())),
-            num_trials=int(m.get("num_trials", 10_000)),
-            master_seed=int(m.get("master_seed", 0)),
+            curves=tuple(curves),
             threshold_mode=_mode(
                 m.get("threshold_mode", "true_sigma"), ThresholdMode, "threshold_mode"
             ),
             ber_detection_gate=_mode(
                 m.get("ber_detection_gate", "none"), BerGate, "ber_detection_gate"
             ),
-            roc_pfa_grid=tuple(float(v) for v in m.get("roc_pfa_grid", cls.roc_pfa_grid)),
-            dist_bins=int(m.get("dist_bins", 50)),
             channel=channel,
+            **{k: _checked(m[k], t, k) for k, t in _SCALAR_FIELDS.items() if k in m},
         )
 
     def to_mapping(self) -> dict:
@@ -416,11 +455,27 @@ def write_sidecar(config: ExperimentConfig, derived: dict, out_dir) -> str:
     return sidecar
 
 
+def write_threshold_table(path, entries: list[tuple[int, DetectorDesign]]) -> None:
+    """Write (K, design) rows as CSV with the documented column set, atomically.
+
+    Lines end in CSV's ``\\r\\n``, as ``csv.writer`` writes them.
+    """
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    rows = [THRESHOLD_TABLE_COLUMNS] + [
+        [d.l_taps, format(d.noise_var, ".12g"), k_bits, d.m_of_n, d.n_pairs,
+         format(d.p0, ".12g"), format(d.eta, ".12g"), format(d.target_pfa, ".12g")]
+        for k_bits, d in entries
+    ]
+    _atomic_write(path, "".join(",".join(map(str, row)) + "\r\n" for row in rows))
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` verbatim (no newline translation) through a renamed temp file."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -521,7 +576,7 @@ class _Scenario:
     -> rx chain.
     """
 
-    def __init__(self, config: ExperimentConfig, curve: CurveConfig, need_design=True):
+    def __init__(self, config: ExperimentConfig, curve: CurveConfig):
         self.config = config
         self.curve = curve
         n_len, cp_len = config.n_len, config.cp_len
@@ -530,11 +585,9 @@ class _Scenario:
         shifts = np.asarray(self.assign.shift_indices)
         self.win = (shifts[:, None] + np.arange(config.l_taps)[None, :]) % n_len
         self.profile = config.channel.to_profile()
-        self.design: DetectorDesign | None = None
-        if need_design:
-            self.design = design_detector(
-                config.target_pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var
-            )
+        self.design = design_detector(
+            config.target_pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var
+        )
 
         seq, n_taps = self.basis.seq, len(self.profile.pdp)
         n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
@@ -627,22 +680,16 @@ class _Scenario:
         soft = np.einsum("bl,bkl->bk", x[:, 0].conj(), x[:, 1:]).real
         return _Chunk(c, soft, bits, est)
 
-    def thresholds(self, est: np.ndarray, eta) -> np.ndarray:
-        """Per-trial thresholds, shape est.shape + np.shape(eta).
-
-        ``eta`` is one threshold or a grid; est_sigma scales it by each
-        frame's power over the configured noise variance.
-        """
-        scale = np.ones_like(est)
-        if self.config.threshold_mode is ThresholdMode.ANALYTIC_EST_SIGMA:
-            scale = est / self.config.noise_var
-        return np.multiply.outer(scale, eta)
-
     def detected(self, ch: _Chunk, eta) -> np.ndarray:
-        """M-of-n decisions, shape (B,) + np.shape(eta): M statistics strictly above eta."""
-        m = self.curve.m_of_n
-        mth = np.partition(ch.c, -m, axis=1)[:, -m]
-        return mth.reshape(mth.shape + (1,) * np.ndim(eta)) > self.thresholds(ch.est, eta)
+        """M-of-n decisions, shape (B,) + np.shape(eta), for one threshold or a grid.
+
+        est_sigma scales ``eta`` by each frame's power over the configured
+        noise variance.
+        """
+        scale = np.ones_like(ch.est)
+        if self.config.threshold_mode is ThresholdMode.ANALYTIC_EST_SIGMA:
+            scale = ch.est / self.config.noise_var
+        return detect(ch.c, self.curve.m_of_n, np.multiply.outer(scale, eta))
 
 
 def _point(config: ExperimentConfig, jobs: int, sc: _Scenario, curve_idx: int, snr_idx: int,
@@ -661,6 +708,14 @@ def _point(config: ExperimentConfig, jobs: int, sc: _Scenario, curve_idx: int, s
         return list(ex.map(one, chunks))
 
 
+def _rate_row(config: ExperimentConfig, curve: CurveConfig, snr: float | None, metric: str,
+              count: int, trials: int) -> ResultRow:
+    """``count`` of ``trials`` as a rate with its Wilson interval; no trials reads 0 in [0, 1]."""
+    lo, hi = wilson_interval(count, trials) if trials else (0.0, 1.0)
+    return ResultRow(config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n, metric,
+                     count / trials if trials else 0.0, lo, hi, trials, config.master_seed)
+
+
 def run_pfa(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Noise-only frames through the receiver; empirical false-alarm rate per curve."""
     if config.kind is not ExperimentKind.PFA:
@@ -672,14 +727,7 @@ def run_pfa(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         detections = sum(
             _point(config, jobs, sc, ci, 0, 0, 0.0, lambda ch: int(sc.detected(ch, eta).sum()))
         )
-        pfa = detections / config.num_trials
-        lo, hi = wilson_interval(detections, config.num_trials)
-        rows.append(
-            ResultRow(
-                config.name, config.kind.value, None, curve.k_bits, curve.m_of_n,
-                "pfa", pfa, lo, hi, config.num_trials, config.master_seed,
-            )
-        )
+        rows.append(_rate_row(config, curve, None, "pfa", detections, config.num_trials))
         derived["curves"].append(
             {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
              "p0": sc.design.p0, "eta": eta, "target_pfa": config.target_pfa}
@@ -703,14 +751,7 @@ def run_pmd(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                 _point(config, jobs, sc, ci, si, 1, amp,
                        lambda ch: int((~sc.detected(ch, eta)).sum()))
             )
-            pmd = misses / config.num_trials
-            lo, hi = wilson_interval(misses, config.num_trials)
-            rows.append(
-                ResultRow(
-                    config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
-                    "pmd", pmd, lo, hi, config.num_trials, config.master_seed,
-                )
-            )
+            rows.append(_rate_row(config, curve, snr, "pmd", misses, config.num_trials))
         derived["curves"].append(
             {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
              "p0": sc.design.p0, "eta": eta, "amplitude_by_snr_db": amps}
@@ -723,49 +764,30 @@ def run_roc(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     if config.kind is not ExperimentKind.ROC:
         raise ConfigError("run_roc needs kind = 'roc'")
     rows, derived = [], {"curves": []}
-    pdf_cache: dict[tuple, float] = {}
     for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve, need_design=False)
-        n_pairs = curve.k_bits * (curve.k_bits + 1) // 2
-        h0pdf = H0Pdf(config.l_taps, config.noise_var)
-        etas = []
-        for pfa in config.roc_pfa_grid:
-            key = (curve.k_bits, curve.m_of_n, pfa)
-            if key not in pdf_cache:
-                p0 = p0_from_pfa(pfa, n_pairs, curve.m_of_n)
-                pdf_cache[key] = solve_threshold(h0pdf, p0)
-            etas.append(pdf_cache[key])
-        etas_arr = np.asarray(etas)
+        sc = _Scenario(config, curve)
+        etas = np.array([
+            design_detector(pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var).eta
+            for pfa in config.roc_pfa_grid
+        ])
 
         def counts(ch):
-            return sc.detected(ch, etas_arr).sum(axis=0)
+            return sc.detected(ch, etas).sum(axis=0)
 
         h0_counts = sum(_point(config, jobs, sc, ci, 0, 0, 0.0, counts))
-
-        curve_info = {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
-                      "pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas_arr))}
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
             h1_counts = sum(_point(config, jobs, sc, ci, si, 1, amp, counts))
-            for gi, pfa in enumerate(config.roc_pfa_grid):
+            for pfa, h1, h0 in zip(config.roc_pfa_grid, h1_counts, h0_counts):
                 tag = format(pfa, ".6g")
-                lo, hi = wilson_interval(int(h1_counts[gi]), config.num_trials)
-                rows.append(
-                    ResultRow(
-                        config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
-                        f"pd@pfa={tag}", h1_counts[gi] / config.num_trials, lo, hi,
-                        config.num_trials, config.master_seed,
-                    )
-                )
-                lo0, hi0 = wilson_interval(int(h0_counts[gi]), config.num_trials)
-                rows.append(
-                    ResultRow(
-                        config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
-                        f"pfa_emp@pfa={tag}", h0_counts[gi] / config.num_trials, lo0, hi0,
-                        config.num_trials, config.master_seed,
-                    )
-                )
-        derived["curves"].append(curve_info)
+                rows.append(_rate_row(config, curve, snr, f"pd@pfa={tag}", int(h1),
+                                      config.num_trials))
+                rows.append(_rate_row(config, curve, snr, f"pfa_emp@pfa={tag}", int(h0),
+                                      config.num_trials))
+        derived["curves"].append(
+            {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
+             "pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas))}
+        )
     return ExperimentResult(config, rows, derived)
 
 
@@ -776,7 +798,7 @@ def run_ber(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     gated = config.ber_detection_gate is BerGate.CFAR
     rows, derived = [], {"curves": [], "detection_gate": config.ber_detection_gate.value}
     for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve, need_design=gated)
+        sc = _Scenario(config, curve)
         eta = sc.design.eta if gated else None
 
         def errors(ch):
@@ -788,24 +810,10 @@ def run_ber(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         for si, snr in enumerate(config.snr_grid_db):
             amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
             errs, nbits, det = np.sum(_point(config, jobs, sc, ci, si, 1, amp, errors), axis=0)
-            errs, nbits, det = int(errs), int(nbits), int(det)
-            ber = errs / nbits if nbits else 0.0
-            lo, hi = wilson_interval(errs, nbits) if nbits else (0.0, 1.0)
-            rows.append(
-                ResultRow(
-                    config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
-                    "ber", ber, lo, hi, nbits, config.master_seed,
-                )
-            )
+            rows.append(_rate_row(config, curve, snr, "ber", int(errs), int(nbits)))
             if gated:
-                dlo, dhi = wilson_interval(det, config.num_trials)
-                rows.append(
-                    ResultRow(
-                        config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
-                        "detect_rate", det / config.num_trials, dlo, dhi,
-                        config.num_trials, config.master_seed,
-                    )
-                )
+                rows.append(_rate_row(config, curve, snr, "detect_rate", int(det),
+                                      config.num_trials))
         derived["curves"].append(
             {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n, "eta": eta}
         )
@@ -821,7 +829,7 @@ def run_dist(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     rows, derived = [], {"points": []}
     extras = {}
     for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve, need_design=False)
+        sc = _Scenario(config, curve)
 
         def samples(ch):
             return ch.c.ravel()

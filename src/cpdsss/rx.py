@@ -23,12 +23,9 @@ from .zc import ZcBasis
 
 __all__ = [
     "DespreadSet",
-    "DecisionStats",
-    "DetectionOutcome",
     "despread_full",
     "extract_user",
     "pairwise_stats",
-    "decision_stats",
     "detect",
     "recover_bits",
     "estimate_noise_power",
@@ -50,27 +47,6 @@ class DespreadSet:
     @property
     def k_bits(self) -> int:
         return self.vectors.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class DecisionStats:
-    """Pairwise detection statistics |Re[y_iH y_j]| for i < j."""
-
-    user_id: int
-    c_values: dict[tuple[int, int], float]
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.c_values)
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    user_id: int
-    detected: bool
-    exceed_count: int
-    hard_bits: tuple[int, ...] | None = None
-    soft_metrics: tuple[float, ...] | None = None
 
 
 def despread_full(basis: ZcBasis, y: np.ndarray) -> np.ndarray:
@@ -115,50 +91,26 @@ def pairwise_stats(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """All |Re[y_iH y_j]| for i < j, plus the (i, j) index arrays.
 
     ``vectors`` is (K+1, L), or a stack (..., K+1, L) of such sets whose
-    statistics come back stacked the same way. Single arithmetic path
-    shared by :func:`decision_stats` and the Monte Carlo engine.
+    statistics come back stacked the same way.
     """
     gram = vectors.conj() @ vectors.swapaxes(-1, -2)
     i_idx, j_idx = _pair_indices(vectors.shape[-2])
     return np.abs(gram.real[..., i_idx, j_idx]), i_idx, j_idx
 
 
-def decision_stats(ds: DespreadSet) -> DecisionStats:
-    """Pairwise statistics over bit indices 0..K; needs K >= 1 (at least one pair)."""
-    if ds.k_bits < 1:
-        raise UnsupportedConfiguration(
-            "decision statistics need K >= 1 information bits (no pairs exist for K = 0)"
-        )
-    c, i_idx, j_idx = pairwise_stats(ds.vectors)
-    values = {(int(i), int(j)): float(v) for i, j, v in zip(i_idx, j_idx, c)}
-    return DecisionStats(user_id=ds.user_id, c_values=values)
+def detect(c: np.ndarray, m: int, eta) -> np.ndarray:
+    """M-out-of-n rule over the last axis of ``c``: at least M statistics strictly above eta.
 
-
-def detect(stats: DecisionStats, design, despread: DespreadSet | None = None) -> DetectionOutcome:
-    """M-out-of-n rule: present iff at least M statistics strictly exceed eta.
-
-    Ties at exactly eta do not count as exceedances. When ``despread`` is
-    given, soft metrics are attached and hard bits are attached iff the
-    user is declared present.
+    Compares the M-th largest statistic with ``eta``, so ties at exactly
+    eta do not count as exceedances. ``eta`` is a scalar, one threshold
+    per set of statistics (shape ``c.shape[:-1]``), or that shape plus
+    trailing grid axes, which the decisions then carry too.
     """
-    n = stats.n_pairs
-    if not 1 <= design.m_of_n <= n:
-        raise ValueError(f"M must be in [1, {n}], got {design.m_of_n}")
-    exceed = sum(1 for v in stats.c_values.values() if v > design.eta)
-    detected = exceed >= design.m_of_n
-    hard = soft = None
-    if despread is not None:
-        hard_list, soft_list = recover_bits(despread)
-        soft = tuple(soft_list)
-        if detected:
-            hard = tuple(hard_list)
-    return DetectionOutcome(
-        user_id=stats.user_id,
-        detected=detected,
-        exceed_count=exceed,
-        hard_bits=hard,
-        soft_metrics=soft,
-    )
+    n = c.shape[-1]
+    if not 1 <= m <= n:
+        raise ValueError(f"M must be in [1, {n}], got {m}")
+    mth = np.partition(c, -m, axis=-1)[..., -m]
+    return mth.reshape(mth.shape + (1,) * max(np.ndim(eta) - mth.ndim, 0)) > eta
 
 
 def recover_bits(ds: DespreadSet) -> tuple[list[int], list[float]]:

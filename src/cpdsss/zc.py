@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["ZcBasis", "ShiftWindow", "generate_zc", "cyclic_shift", "window_product"]
+__all__ = ["ZcBasis", "generate_zc", "cyclic_shift"]
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,6 @@ class ZcBasis:
         spec = np.conj(np.fft.fft(self.seq))
         spec.setflags(write=False)
         return spec
-
-
-@dataclass(frozen=True)
-class ShiftWindow:
-    """Identifies the N x L block of ``L`` consecutive shifts starting at ``start_index``.
-
-    The block itself is never materialized; receivers index into the
-    despread vector instead.
-    """
-
-    start_index: int
-    width: int
 
 
 def generate_zc(n_len: int, root: int) -> ZcBasis:
@@ -87,27 +75,3 @@ def cyclic_shift(basis: ZcBasis, i: int) -> np.ndarray:
         raise ValueError(f"shift index {i} out of range [0, {basis.n_len})")
     return np.roll(basis.seq, i)
 
-
-def window_product(basis: ZcBasis, w1: ShiftWindow, w2: ShiftWindow) -> np.ndarray:
-    """Dense L x L product Z_iH Z_j between two shift windows.
-
-    Entry (r, c) is shift(i+r)H shift(j+c), i.e. 1 where i+r = j+c (mod N)
-    and ~0 elsewhere. This is a brute-force reference computation used for
-    verification; the receiver never forms these matrices.
-    """
-    for w in (w1, w2):
-        if not 0 <= w.start_index < basis.n_len:
-            raise ValueError(f"window start {w.start_index} out of range")
-        if not 1 <= w.width <= basis.n_len:
-            raise ValueError(f"window width {w.width} out of range")
-    if w1.width != w2.width:
-        raise ValueError(f"window widths differ: {w1.width} != {w2.width}")
-    z1 = np.stack(
-        [cyclic_shift(basis, (w1.start_index + c) % basis.n_len) for c in range(w1.width)],
-        axis=1,
-    )
-    z2 = np.stack(
-        [cyclic_shift(basis, (w2.start_index + c) % basis.n_len) for c in range(w2.width)],
-        axis=1,
-    )
-    return z1.conj().T @ z2

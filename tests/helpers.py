@@ -10,6 +10,7 @@ despread-domain sampler.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import exp, lgamma, log, pi
 
 import numpy as np
@@ -28,6 +29,38 @@ def dense_despread(basis: ZcBasis, y: np.ndarray) -> np.ndarray:
     """O(N^2) despreading: row n of the matrix is conj(shift n)."""
     rows = np.stack([np.conj(cyclic_shift(basis, n)) for n in range(basis.n_len)])
     return rows @ y
+
+
+@dataclass(frozen=True)
+class ShiftWindow:
+    """The N x L block of ``width`` consecutive shifts starting at ``start_index``."""
+
+    start_index: int
+    width: int
+
+
+def window_product(basis: ZcBasis, w1: ShiftWindow, w2: ShiftWindow) -> np.ndarray:
+    """Dense L x L product Z_iH Z_j between two shift windows.
+
+    Entry (r, c) is shift(i+r)H shift(j+c), i.e. 1 where i+r = j+c (mod N)
+    and ~0 elsewhere; the receiver never forms these matrices.
+    """
+    for w in (w1, w2):
+        if not 0 <= w.start_index < basis.n_len:
+            raise ValueError(f"window start {w.start_index} out of range")
+        if not 1 <= w.width <= basis.n_len:
+            raise ValueError(f"window width {w.width} out of range")
+    if w1.width != w2.width:
+        raise ValueError(f"window widths differ: {w1.width} != {w2.width}")
+    z1 = np.stack(
+        [cyclic_shift(basis, (w1.start_index + c) % basis.n_len) for c in range(w1.width)],
+        axis=1,
+    )
+    z2 = np.stack(
+        [cyclic_shift(basis, (w2.start_index + c) % basis.n_len) for c in range(w2.width)],
+        axis=1,
+    )
+    return z1.conj().T @ z2
 
 
 def circular_convolve_oracle(x: np.ndarray, h: np.ndarray) -> np.ndarray:

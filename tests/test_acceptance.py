@@ -55,7 +55,7 @@ def _collect_h0_statistics(num_trials: int, seed: int) -> np.ndarray:
         {"kind": "pfa", "k_bits": 1, "m_of_n": 1, "num_trials": num_trials,
          "master_seed": seed}
     )
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     out = np.empty(num_trials)
     for t in range(num_trials):
         c, _ = full_chain_h0(sc, np.random.default_rng(np.random.SeedSequence((seed, 0, t))))

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import betainc, betaincinv
 
@@ -27,9 +29,8 @@ from cpdsss.analysis import (
     pfa_from_p0,
     processing_gain_db,
     solve_threshold,
-    write_threshold_table,
-    THRESHOLD_TABLE_COLUMNS,
 )
+from cpdsss.experiments import THRESHOLD_TABLE_COLUMNS, write_threshold_table
 
 # ---------------------------------------------------------------- Bessel ----
 
@@ -295,6 +296,13 @@ def test_p0_inverse_matches_scipy(rng):
         assert abs(p0_from_pfa(pfa, n, m) - ref) < 1e-10
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 66), st.data(), st.floats(1e-15, 0.5), st.floats(1e-6, 1.0))
+def test_p0_inverse_monotone_in_pfa(n, data, pfa, step):
+    m = data.draw(st.integers(1, n))
+    assert p0_from_pfa(pfa, n, m) < p0_from_pfa(pfa * (1.0 + step), n, m)
+
+
 def test_p0_inverse_domain():
     for bad in (0.0, 1.0, -1.0):
         with pytest.raises(ValueError):
@@ -364,6 +372,8 @@ def test_threshold_table_round_trip(tmp_path):
     ]
     path = tmp_path / "thresholds.csv"
     write_threshold_table(path, entries)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"L,sigma2,K,M,n,p0,eta,target_pfa" and lines[3:] == [b""]
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == THRESHOLD_TABLE_COLUMNS

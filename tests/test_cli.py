@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -7,9 +8,13 @@ import sys
 
 import pytest
 
+import cpdsss
 from cpdsss import cli
 from cpdsss.analysis import p0_from_pfa, pfa_from_p0
 from cpdsss.errors import NumericalError
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def read_rows(path):
@@ -69,6 +74,19 @@ def test_design_threshold_nonfinite_noise_var(tmp_path, capsys, bad):
     rc = cli.main(["design-threshold", "--noise-var", f"1.0,{bad}", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "noise variance must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "thresholds.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--k-bits", "0"],
+    ["--k-bits", "1", "--m-of-n", "2"],
+    ["--k-bits", "10,1", "--m-of-n", "20"],  # valid for K=10, not for K=1
+    ["--l-taps", "0"],
+])
+def test_design_threshold_rejects_bad_grid_up_front(tmp_path, capsys, args):
+    rc = cli.main(["design-threshold", *args, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "thresholds.csv").exists()
 
 
@@ -161,6 +179,36 @@ def test_simulate_nonfinite_override_rejected(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, override", [
+    ("roc.json", "zc_root=2"),
+    ("roc.json", "zc_root=0"),
+    ("roc.json", "roc_pfa_grid=[0.0]"),
+    ("roc.json", "roc_pfa_grid=[1.5]"),
+    ("roc.json", "roc_pfa_grid=[]"),
+    ("roc.json", 'channel.kind="bogus"'),
+    ("roc.json", "channel.max_taps=0"),
+    ("roc.json", "channel.rms_delay_spread_ns=0"),
+    ("roc.json", 'channel.normalize_each_draw="no"'),
+    ("roc.json", "l_taps=2000"),
+    ("roc.json", "snr_grid_db=[NaN]"),
+    ("pmd.json", "snr_grid_db=[Infinity]"),
+    ("dist.json", "dist_bins=0"),
+    ("roc.json", "curves=5"),
+    ("roc.json", "snr_grid_db=5"),
+    ("roc.json", "n_len=null"),
+    ("roc.json", "num_trials=2.7"),
+    ("roc.json", "master_seed=1.5"),
+    ("roc.json", "noise_var=1" + "0" * 400),  # an integer past the float range
+])
+def test_simulate_bad_config_exits_2_before_writing(tmp_path, capsys, config, override):
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", os.path.join(CONFIGS, config), "--out", str(out),
+                   "--jobs", "1", "--set", "num_trials=300", "--set", override])
+    assert rc == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()  # neither the sidecar nor the CSV
+
+
 def test_imports_stay_light():
     code = (
         "import sys, cpdsss.analysis; "
@@ -178,6 +226,14 @@ def test_imports_stay_light():
     assert scipy_modules == "[]"
 
 
+def test_public_names_resolve_to_submodule_exports():
+    for name in cpdsss.__all__:
+        getattr(cpdsss, name)  # the lazy loader finds it
+        if name != "__version__":
+            module = importlib.import_module(f"cpdsss.{cpdsss._MODULE_OF[name]}")
+            assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
+
+
 def test_simulate_missing_file(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(tmp_path / "nope.json")])
     assert rc == cli.EXIT_CONFIG
@@ -193,6 +249,17 @@ def test_simulate_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys
     rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_simulate_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    config = write_config(tmp_path / "c.json")
+
+    def boom(config, jobs):
+        raise ValueError("synthetic internal fault")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    with pytest.raises(ValueError, match="synthetic internal fault"):
+        cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
 
 
 # ---------------------------------------------------------------- selftest ----

@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gamma, ks_2samp, kstest, ncx2
 
 from helpers import erlang_mixture_cdf, full_chain_h0, full_chain_h1
 
 from cpdsss.channel import ChannelRealization, apply_channel, draw_taps
 from cpdsss.errors import ConfigError
+from cpdsss.channel import ProfileKind
 from cpdsss.experiments import (
     CSV_COLUMNS,
+    BerGate,
     ExperimentConfig,
+    ExperimentKind,
     ThresholdMode,
     _Scenario,
     amplitude_for_snr,
@@ -92,6 +97,54 @@ def test_config_round_trip():
     assert again.config_hash() == c.config_hash()
 
 
+@st.composite
+def config_mappings(draw):
+    """Mappings of valid configs, every field drawn."""
+    k_max = draw(st.integers(1, 12))
+    l_taps = draw(st.integers(1, 60))
+    n_len = draw(st.integers((k_max + 1) * (l_taps + 1), 4096))
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    curves = [{"k_bits": k, "m_of_n": draw(st.integers(1, k * (k + 1) // 2))}
+              for k in draw(st.lists(st.integers(1, k_max), min_size=1, max_size=3))]
+    return {
+        "kind": draw(st.sampled_from(ExperimentKind)).value,
+        "name": draw(st.text(max_size=8)),
+        "n_len": n_len,
+        "cp_len": draw(st.integers(0, n_len - 1)),
+        "l_taps": l_taps,
+        "zc_root": draw(st.integers(1, 2 * n_len).filter(lambda r: math.gcd(r, n_len) == 1)),
+        "noise_var": draw(positive),
+        "curves": curves,
+        "target_pfa": draw(unit),
+        "snr_grid_db": draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=1, max_size=4)),
+        "num_trials": draw(st.integers(1, 10**9)),
+        "master_seed": draw(st.integers(0, 2**64)),
+        "threshold_mode": draw(st.sampled_from(ThresholdMode)).value,
+        "ber_detection_gate": draw(st.sampled_from(BerGate)).value,
+        "roc_pfa_grid": draw(st.lists(unit, min_size=1, max_size=4)),
+        "dist_bins": draw(st.integers(1, 500)),
+        "channel": {
+            "kind": draw(st.sampled_from(ProfileKind)).value,
+            "rms_delay_spread_ns": draw(positive),
+            "sample_rate_hz": draw(positive),
+            "max_taps": draw(st.integers(1, 512)),
+            "normalize_each_draw": draw(st.booleans()),
+        },
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(config_mappings())
+def test_config_round_trip_property(mapping):
+    c = ExperimentConfig.from_mapping(mapping)
+    for again in (ExperimentConfig.from_mapping(c.to_mapping()),
+                  ExperimentConfig.from_mapping(json.loads(json.dumps(c.to_mapping())))):
+        assert again == c
+        assert again.config_hash() == c.config_hash()
+
+
 def test_amplitude_for_snr_definition():
     # per-sample rx power = amp^2 (K+1) / N; configured snr = that over sigma^2
     amp = amplitude_for_snr(-12.0, 1024, 1.0, 1)
@@ -155,7 +208,7 @@ def test_sampler_signal_equals_full_chain(case, k_bits):
     overrides, n_taps = case
     config = cfg(kind="pmd", snr_grid_db=[0.0], curves=[{"k_bits": k_bits, "m_of_n": 1}],
                  **overrides)
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     assert len(sc.profile.pdp) == n_taps
     rng = np.random.default_rng(17)
     size, amp = 6, 3.0
@@ -185,7 +238,7 @@ def _chunk_and_signal(sc, seed, size, amp):
 def test_chunk_at_vanishing_noise_is_the_noiseless_signal(k_bits):
     config = cfg(kind="pmd", snr_grid_db=[0.0], curves=[{"k_bits": k_bits, "m_of_n": 1}],
                  noise_var=1e-24)
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     ch, bits, windows, energy = _chunk_and_signal(sc, 3, 50, 2.0)
     assert np.array_equal(ch.bits, bits)
     assert ch.est * config.n_len == pytest.approx(energy, rel=1e-9)
@@ -199,7 +252,7 @@ def test_frame_power_given_the_signal_is_noncentral_chi2():
     # noncentrality 2E / sigma^2, E the noiseless frame energy; at L=4 most
     # of E lies outside the windows, where only the frame power sees it
     config = cfg(kind="pmd", snr_grid_db=[0.0], l_taps=4, noise_var=0.5)
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     amp = amplitude_for_snr(0.0, config.n_len, config.noise_var, 1)
     parts = [_chunk_and_signal(sc, seed, 256, amp) for seed in range(40)]
     est = np.concatenate([p[0].est for p in parts])
@@ -214,7 +267,7 @@ def test_frame_power_given_the_signal_is_noncentral_chi2():
 def test_noise_only_frame_power_is_gamma_distributed():
     # N * est / sigma^2 sums N unit-mean exponentials: Gamma(N, 1), exactly
     config = cfg(kind="pfa", noise_var=2.5)
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     est = np.concatenate([sc.chunk(chunk_rng(8, 0, 0, 0, q), 0, 0.0, 256).est for q in range(200)])
     scaled = est * config.n_len / config.noise_var
     assert kstest(scaled, gamma(config.n_len).cdf).pvalue > 1e-3
@@ -225,7 +278,7 @@ def test_noise_only_frame_power_is_gamma_distributed():
 def test_sampler_matches_full_chain_in_distribution(k_bits, m_of_n, hypothesis):
     config = cfg(kind="pmd", snr_grid_db=[-12.0], curves=[{"k_bits": k_bits, "m_of_n": m_of_n}],
                  threshold_mode="est_sigma")
-    sc = _Scenario(config, config.curves[0], need_design=False)
+    sc = _Scenario(config, config.curves[0])
     amp = amplitude_for_snr(-12.0, config.n_len, config.noise_var, k_bits)
     names = ["c[0]", "mth", "est"] + (["soft[0]"] if hypothesis else [])
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_despread
 
-from cpdsss.analysis import DetectorDesign
 from cpdsss.channel import (
     ChannelRealization,
     NoiseSpec,
@@ -12,27 +13,19 @@ from cpdsss.channel import (
     tdl_a_profile,
     draw_channel,
 )
-from cpdsss.errors import UnsupportedConfiguration
 from cpdsss.rx import (
-    DecisionStats,
     DespreadSet,
-    decision_stats,
     despread_full,
     detect,
     direct_mul_count,
     estimate_noise_power,
     extract_user,
     fft_mul_count,
+    pairwise_stats,
     recover_bits,
 )
 from cpdsss.tx import CodeAssignment, add_cp, allocate_codes, build_message, remove_cp
 from cpdsss.zc import cyclic_shift, generate_zc
-
-
-def _design(eta, m=1, n=1):
-    return DetectorDesign(
-        target_pfa=0.0, p0=0.0, eta=eta, m_of_n=m, n_pairs=n, l_taps=40, noise_var=1.0
-    )
 
 
 @pytest.mark.parametrize("n_len", [16, 64, 256])
@@ -99,71 +92,73 @@ def test_extract_user_wraps_cyclically(basis1024):
 def test_decision_stats_noise_free_value():
     # vectors b_k * h with ||h||^2 = 2 -> every pairwise statistic equals 2
     h = np.array([1.0 + 0j, 1.0 + 0j])
-    vectors = np.stack([h, -h, h])
-    stats = decision_stats(DespreadSet(user_id=0, vectors=vectors))
-    assert stats.n_pairs == 3
-    for value in stats.c_values.values():
-        assert abs(value - 2.0) < 1e-12
+    c, _, _ = pairwise_stats(np.stack([h, -h, h]))
+    assert c.shape == (3,)
+    assert np.abs(c - 2.0).max() < 1e-12
 
 
 def test_decision_stats_zero_input():
-    stats = decision_stats(DespreadSet(0, np.zeros((3, 8), dtype=complex)))
-    assert all(v == 0.0 for v in stats.c_values.values())
+    c, _, _ = pairwise_stats(np.zeros((3, 8), dtype=complex))
+    assert np.array_equal(c, np.zeros(3))
 
 
 def test_decision_stats_rejects_k0():
-    with pytest.raises(UnsupportedConfiguration):
-        decision_stats(DespreadSet(0, np.zeros((1, 8), dtype=complex)))
+    # a lone reference vector (K = 0) has no pairs, so no M-of-n decision exists
+    c, _, _ = pairwise_stats(np.zeros((1, 8), dtype=complex))
+    assert c.shape == (0,)
+    with pytest.raises(ValueError):
+        detect(c, 1, 0.5)
 
 
-def test_decision_stats_pair_count_k3():
-    stats = decision_stats(DespreadSet(0, np.zeros((4, 8), dtype=complex)))
-    assert stats.n_pairs == 6
-    assert set(stats.c_values) == {(i, j) for i in range(4) for j in range(4) if i < j}
+def test_decision_stats_pair_count_k3(rng):
+    vectors = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    c, i_idx, j_idx = pairwise_stats(vectors)
+    pairs = list(zip(i_idx.tolist(), j_idx.tolist()))
+    assert pairs == [(i, j) for i in range(4) for j in range(4) if i < j]
+    for value, (i, j) in zip(c, pairs):
+        assert value == pytest.approx(abs(np.vdot(vectors[i], vectors[j]).real), rel=1e-12)
 
 
 def test_detect_basic_rules():
-    no = detect(DecisionStats(0, {(0, 1): 0.0}), _design(eta=0.5))
-    assert not no.detected and no.exceed_count == 0
-    yes = detect(DecisionStats(0, {(0, 1): 0.5 + 1e-9}), _design(eta=0.5))
-    assert yes.detected and yes.exceed_count == 1
+    assert not detect(np.array([0.0]), 1, 0.5)
+    assert detect(np.array([0.5 + 1e-9]), 1, 0.5)
 
 
 def test_detect_tie_at_threshold_does_not_count():
-    tie = detect(DecisionStats(0, {(0, 1): 0.5}), _design(eta=0.5))
-    assert not tie.detected and tie.exceed_count == 0
+    assert not detect(np.array([0.5]), 1, 0.5)
+    assert not detect(np.array([0.5, 0.7]), 2, 0.5)
 
 
 def test_detect_m_out_of_range():
-    stats = DecisionStats(0, {(0, 1): 1.0})
+    c = np.array([1.0])
     with pytest.raises(ValueError):
-        detect(stats, _design(eta=0.5, m=2, n=1))
+        detect(c, 2, 0.5)
     with pytest.raises(ValueError):
-        detect(stats, _design(eta=0.5, m=0, n=1))
+        detect(c, 0, 0.5)
 
 
-def test_detect_count_rule_property(rng):
-    for _ in range(50):
-        vals = rng.uniform(0, 2, size=6)
-        stats = DecisionStats(0, {(i, j): float(v) for (i, j), v in
-                                  zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], vals)})
-        m = int(rng.integers(1, 7))
-        out = detect(stats, _design(eta=1.0, m=m, n=6))
-        assert out.exceed_count == int((vals > 1.0).sum())
-        assert out.detected == (out.exceed_count >= m)
+def test_detect_threshold_shapes():
+    c = np.array([[0.1, 0.9, 0.5], [0.6, 0.7, 0.2]])  # 2nd largest: 0.5, 0.6
+    assert detect(c, 2, 0.55).tolist() == [False, True]
+    assert detect(c, 2, np.array([0.4, 0.65])).tolist() == [True, False]  # one per row
+    grid = np.array([[0.4, 0.55], [0.4, 0.65]])  # rows x grid
+    assert detect(c, 2, grid).tolist() == [[True, False], [True, False]]
+    assert detect(c[0], 2, np.array([0.4, 0.55])).tolist() == [True, False]  # one set, a grid
 
 
-def test_detect_attaches_bits_when_present():
-    h = np.array([1.0 + 0j, 0.5j])
-    vectors = np.stack([h, -h])
-    ds = DespreadSet(0, vectors)
-    stats = decision_stats(ds)
-    out = detect(stats, _design(eta=0.5), despread=ds)
-    assert out.detected and out.hard_bits == (-1,)
-    assert out.soft_metrics is not None and out.soft_metrics[0] < 0
-    out_miss = detect(stats, _design(eta=10.0), despread=ds)
-    assert not out_miss.detected and out_miss.hard_bits is None
-    assert out_miss.soft_metrics is not None
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_detect_count_rule_property(data):
+    # statistics and thresholds share a coarse lattice, so ties at eta are common
+    n = data.draw(st.integers(1, 12))
+    rows = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    c = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)), dtype=float) / 2
+    eta = np.array(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5)), dtype=float) / 2
+    m = data.draw(st.integers(1, n))
+    counted = (c[:, :, None] > eta).sum(axis=1) >= m
+    assert np.array_equal(detect(c, m, np.tile(eta, (len(c), 1))), counted)
+    for g, threshold in enumerate(eta):
+        assert np.array_equal(detect(c, m, threshold), counted[:, g])
 
 
 def test_recover_bits_sign_and_scale():

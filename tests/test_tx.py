@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ShiftWindow, window_product
 
 from cpdsss.errors import CapacityError
 from cpdsss.tx import (
@@ -13,7 +17,7 @@ from cpdsss.tx import (
     build_message,
     remove_cp,
 )
-from cpdsss.zc import ShiftWindow, cyclic_shift, generate_zc, window_product
+from cpdsss.zc import cyclic_shift, generate_zc
 
 
 def circ_gap(a, b, n):
@@ -54,6 +58,19 @@ def test_orthogonal_allocation_spacing(num_users, k_bits, guard, n_len):
     for x, a in enumerate(all_idx):
         for b in all_idx[x + 1 :]:
             assert circ_gap(a, b, n_len) >= guard + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 12), st.integers(0, 60), st.data())
+def test_orthogonal_allocation_spacing_property(k_bits, guard, data):
+    block = (k_bits + 1) * (guard + 1)
+    n_len = data.draw(st.integers(max(block, 2), 1024))
+    num_users = data.draw(st.integers(1, n_len // block))
+    idx = np.array([i for a in allocate_codes(num_users, k_bits, guard, n_len)
+                    for i in a.shift_indices])
+    gap = np.abs(idx[:, None] - idx[None, :]) % n_len
+    gap = np.minimum(gap, n_len - gap)
+    assert gap[~np.eye(len(idx), dtype=bool)].min(initial=n_len) >= guard + 1
 
 
 def test_overloaded_mode_violates_cross_user_spacing_only():

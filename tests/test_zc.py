@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cpdsss.zc import ShiftWindow, cyclic_shift, generate_zc, window_product
+from helpers import ShiftWindow, window_product
+
+from cpdsss.zc import cyclic_shift, generate_zc
 
 
 def test_generate_n4_root1_matches_direct_evaluation():
