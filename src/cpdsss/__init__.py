@@ -21,10 +21,7 @@ from ._version import __version__
 
 _EXPORTS = {
     "zc": ("ZcBasis", "generate_zc", "cyclic_shift"),
-    "tx": (
-        "CodeAssignment", "UsrMessage", "TxFrame", "allocate_codes", "build_message",
-        "add_cp", "remove_cp",
-    ),
+    "tx": ("CodeAssignment", "allocate_codes", "build_message", "add_cp", "remove_cp"),
     "channel": (
         "ProfileKind", "ChannelProfile", "ChannelRealization", "NoiseSpec",
         "tdl_a_profile", "exp_pdp_profile", "flat_profile",

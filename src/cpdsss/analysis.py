@@ -248,7 +248,7 @@ def p0_from_pfa(pfa: float, n: int, m: int) -> float:
             hi = p
         else:
             lo = p
-        if hi - lo < 1e-16:
+        if hi - lo <= 1e-16 * hi:  # relative: p0 may lie far below 1e-16
             return float(0.5 * (lo + hi))
         deriv = dcoef * p ** (m - 1) * (1.0 - p) ** (n - m)
         if deriv > 0 and math.isfinite(deriv) and lo < p - f / deriv < hi:

@@ -112,9 +112,10 @@ class ChannelProfile:
             delays, powers_db, _ = load_tdl_a_table()
             idx = np.rint(delays * self.rms_delay_spread * self.sample_rate).astype(int)
             lin = 10.0 ** (powers_db / 10.0)
-            pdp = np.zeros(int(idx.max()) + 1)
-            np.add.at(pdp, idx, lin)
-            pdp = pdp[: self.max_taps]
+            # only taps inside max_taps are allocated; minlength keeps trailing empty taps
+            keep = idx < self.max_taps
+            width = min(int(idx.max()) + 1, self.max_taps)
+            pdp = np.bincount(idx[keep], lin[keep], minlength=width)
         else:
             raise ValueError(f"unknown profile kind: {self.kind!r}")
         return pdp / pdp.sum()

@@ -35,10 +35,10 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from math import gcd, inf, isfinite, sqrt
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,64 +157,71 @@ class ChannelConfig:
         )
 
 
-# config key -> the type its value converts to (tuple: a list of numbers)
-_CHANNEL_FIELDS = {
-    "kind": str,
-    "rms_delay_spread_ns": float,
-    "sample_rate_hz": float,
-    "max_taps": int,
-    "normalize_each_draw": bool,
-}
-_CURVE_FIELDS = {"k_bits": int, "m_of_n": int}
-_SCALAR_FIELDS = {
-    "name": str,
-    "n_len": int,
-    "cp_len": int,
-    "l_taps": int,
-    "zc_root": int,
-    "noise_var": float,
-    "target_pfa": float,
-    "snr_grid_db": tuple,
-    "num_trials": int,
-    "master_seed": int,
-    "roc_pfa_grid": tuple,
-    "dist_bins": int,
-}
-_CONFIG_KEYS = {
-    "kind", "curves", "threshold_mode", "ber_detection_gate", "channel",
-    *_CURVE_FIELDS, *_SCALAR_FIELDS,
-}
-_TYPE_NAMES = {
-    str: "a string", bool: "true or false", int: "an integer", float: "a number",
-    tuple: "a list of numbers",
-}
+_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
+_ONE_CURVE = ("k_bits", "m_of_n")  # top-level shorthand for curves=[{k_bits, m_of_n}]
 
 
-def _checked(value, kind, label: str):
-    """A config value as ``kind`` (str, bool, int, float, or tuple for a list of floats).
+def _checked(value, tp, label: str):
+    """A config value converted to the field type ``tp``; errors name ``label``.
 
-    A string is parsed where a number belongs, so ``--set noise_var=nan``
-    reaches the range checks. Any other type, or a fraction where an
-    integer belongs, is a ConfigError.
+    Config dataclasses are read from objects, ``tuple[X, ...]`` from lists
+    (each item labelled by the list's name without its plural "s"), and
+    enums from their values, case-insensitively. A string is parsed where
+    a number belongs, so ``--set noise_var=nan`` reaches the range checks.
+    Any other type, or a fraction where an integer belongs, is a ConfigError.
     """
-    if kind is tuple and isinstance(value, (list, tuple)):
-        return tuple(_checked(v, float, label) for v in value)
-    if kind in (str, bool) and isinstance(value, kind):
+    if is_dataclass(tp):
+        return _from_fields(tp, value, label, f"{label}.")
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{label} must be a list, got {value!r}")
+        return tuple(_checked(v, get_args(tp)[0], label.removesuffix("s")) for v in value)
+    if issubclass(tp, Enum):
+        try:
+            return tp(str(value).lower())
+        except ValueError:
+            raise ConfigError(f"unknown {label}: {value!r}") from None
+    if tp in (str, bool) and isinstance(value, tp):
         return value
-    if kind in (int, float) and isinstance(value, str):
+    if tp in (int, float) and isinstance(value, str):
         try:
             value = float(value)
         except ValueError:
             pass
-    if kind in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is float:
+    if tp in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if tp is float:
             try:
                 return float(value)
             except OverflowError:  # an integer past the float range; the range checks reject it
                 return inf if value > 0 else -inf
         if isinstance(value, int) or value.is_integer():
             return int(value)
-    raise ConfigError(f"{label} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    raise ConfigError(f"{label} must be {_TYPE_NAMES[tp]}, got {value!r}")
+
+
+def _from_fields(cls, mapping, label: str, prefix: str):
+    """Config dataclass ``cls`` built from ``mapping``, each field through :func:`_checked`."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{label} must be an object, got {mapping!r}")
+    types = get_type_hints(cls)
+    unknown = set(mapping) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in mapping and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{label} needs a {f.name!r}")
+    return cls(**{k: _checked(v, types[k], prefix + k) for k, v in mapping.items()})
+
+
+def _plain(value):
+    """JSON-ready data of a config value: objects, lists and enum values."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -289,89 +296,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, m: dict) -> "ExperimentConfig":
-        if not isinstance(m, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(m) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "kind" not in m:
-            raise ConfigError("config needs a 'kind'")
-        try:
-            kind = ExperimentKind(str(m["kind"]).lower())
-        except ValueError:
-            raise ConfigError(f"unknown experiment kind: {m['kind']!r}") from None
-
-        if "curves" in m and ("k_bits" in m or "m_of_n" in m):
-            raise ConfigError("give either 'curves' or top-level k_bits/m_of_n, not both")
-        entries = m.get("curves", [{k: m[k] for k in _CURVE_FIELDS if k in m}])
-        if not isinstance(entries, list):
-            raise ConfigError(f"curves must be a list of objects, got {entries!r}")
-        curves = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise ConfigError("each curve must be an object")
-            bad = set(entry) - set(_CURVE_FIELDS)
-            if bad:
-                raise ConfigError(f"unknown curve keys: {sorted(bad)}")
-            curves.append(
-                CurveConfig(**{k: _checked(v, _CURVE_FIELDS[k], k) for k, v in entry.items()})
-            )
-
-        chan = m.get("channel", {})
-        if not isinstance(chan, dict):
-            raise ConfigError("'channel' must be an object")
-        bad = set(chan) - set(_CHANNEL_FIELDS)
-        if bad:
-            raise ConfigError(f"unknown channel keys: {sorted(bad)}")
-        channel = ChannelConfig(
-            **{k: _checked(v, _CHANNEL_FIELDS[k], f"channel.{k}") for k, v in chan.items()}
-        )
-
-        def _mode(value, enum, label):
-            try:
-                return enum(str(value).lower())
-            except ValueError:
-                raise ConfigError(f"unknown {label}: {value!r}") from None
-
-        return cls(
-            kind=kind,
-            curves=tuple(curves),
-            threshold_mode=_mode(
-                m.get("threshold_mode", "true_sigma"), ThresholdMode, "threshold_mode"
-            ),
-            ber_detection_gate=_mode(
-                m.get("ber_detection_gate", "none"), BerGate, "ber_detection_gate"
-            ),
-            channel=channel,
-            **{k: _checked(m[k], t, k) for k, t in _SCALAR_FIELDS.items() if k in m},
-        )
+        """A config from JSON data, typed and checked field by field (see ``_checked``)."""
+        if isinstance(m, dict) and any(k in m for k in _ONE_CURVE):
+            if "curves" in m:
+                raise ConfigError("give either 'curves' or top-level k_bits/m_of_n, not both")
+            curve = {k: m[k] for k in _ONE_CURVE if k in m}
+            m = {k: v for k, v in m.items() if k not in _ONE_CURVE} | {"curves": [curve]}
+        return _from_fields(cls, m, "config", "")
 
     def to_mapping(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "name": self.name,
-            "n_len": self.n_len,
-            "cp_len": self.cp_len,
-            "l_taps": self.l_taps,
-            "zc_root": self.zc_root,
-            "noise_var": self.noise_var,
-            "curves": [{"k_bits": c.k_bits, "m_of_n": c.m_of_n} for c in self.curves],
-            "target_pfa": self.target_pfa,
-            "snr_grid_db": list(self.snr_grid_db),
-            "num_trials": self.num_trials,
-            "master_seed": self.master_seed,
-            "threshold_mode": self.threshold_mode.value,
-            "ber_detection_gate": self.ber_detection_gate.value,
-            "roc_pfa_grid": list(self.roc_pfa_grid),
-            "dist_bins": self.dist_bins,
-            "channel": {
-                "kind": self.channel.kind,
-                "rms_delay_spread_ns": self.channel.rms_delay_spread_ns,
-                "sample_rate_hz": self.channel.sample_rate_hz,
-                "max_taps": self.channel.max_taps,
-                "normalize_each_draw": self.channel.normalize_each_draw,
-            },
-        }
+        """The resolved config as JSON data; :meth:`from_mapping` reads it back."""
+        return _plain(self)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))

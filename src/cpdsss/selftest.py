@@ -120,19 +120,20 @@ def _check_bessel_recurrence(fault: bool = False) -> str:
 def _check_beta_roundtrip(fault: bool = False) -> str:
     # inversion contract: feeding the inverse back through the forward map
     # reproduces the requested rate; p0 itself is only recoverable where
-    # the forward map is not saturated in float64
+    # the forward map is not saturated in float64. The error is relative,
+    # since the rates reach down to 1e-100
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(25):
         n = int(rng.integers(1, 56))
         m = int(rng.integers(1, n + 1))
-        pfa = float(rng.uniform(1e-6, 1 - 1e-6))
+        pfa = float(10.0 ** rng.uniform(-100.0, np.log10(1 - 1e-6)))
         back = analysis.pfa_from_p0(analysis.p0_from_pfa(pfa, n, m), n, m)
         if fault:
-            back += 1e-6
-        worst = max(worst, abs(back - pfa))
-    assert worst < 1e-10, f"round-trip error {worst:.3e}"
-    return f"max |pfa - roundtrip(pfa)| = {worst:.2e}"
+            back *= 1 + 1e-6
+        worst = max(worst, abs(back / pfa - 1))
+    assert worst < 1e-12, f"relative round-trip error {worst:.3e}"
+    return f"max |roundtrip(pfa)/pfa - 1| = {worst:.2e}"
 
 
 def _check_calculators(fault: bool = False) -> str:

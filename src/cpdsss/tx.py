@@ -1,4 +1,4 @@
-"""Transmitter side: spreading-code allocation, message frames, cyclic prefix.
+"""Transmitter side: spreading-code allocation, message bodies, cyclic prefix.
 
 A message frame carries one always-+1 reference bit plus K information
 bits, each spread onto its own cyclic shift of the ZC root sequence.
@@ -12,7 +12,6 @@ a frame of zero bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .zc import ZcBasis, cyclic_shift
 
 __all__ = [
     "CodeAssignment",
-    "UsrMessage",
-    "TxFrame",
     "allocate_codes",
     "build_message",
     "add_cp",
@@ -59,51 +56,6 @@ class CodeAssignment:
                     raise ValueError(
                         f"shift indices {a} and {b} closer than guard+1={self.guard + 1} (mod {self.n_len})"
                     )
-
-
-@dataclass(frozen=True)
-class UsrMessage:
-    """Bit payload of one scheduling-request message.
-
-    ``bits[0]`` is the reference bit and must be +1. ``amplitude`` is the
-    per-code linear gain; with total message power P shared across the
-    K+1 codes, amplitude = sqrt(P / (K+1)).
-    """
-
-    user_id: int
-    bits: tuple[int, ...]
-    amplitude: float
-
-    def __post_init__(self):
-        if not self.bits or self.bits[0] != 1:
-            raise ValueError("reference bit bits[0] must be +1")
-        if any(b not in (-1, 1) for b in self.bits):
-            raise ValueError("bits must be +/-1")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
-
-    @classmethod
-    def with_total_power(cls, user_id: int, bits, total_power: float) -> "UsrMessage":
-        """Build a message whose per-code amplitude shares ``total_power`` across all bits."""
-        bits = tuple(int(b) for b in bits)
-        return cls(user_id=user_id, bits=bits, amplitude=sqrt(total_power / len(bits)))
-
-    @property
-    def total_power(self) -> float:
-        return self.amplitude**2 * len(self.bits)
-
-
-@dataclass(frozen=True)
-class TxFrame:
-    """A message body together with its cyclic-prefixed sample stream."""
-
-    body: np.ndarray
-    cp_len: int
-    samples: np.ndarray
-
-    @classmethod
-    def from_body(cls, body: np.ndarray, cp_len: int) -> "TxFrame":
-        return cls(body=body, cp_len=cp_len, samples=add_cp(body, cp_len))
 
 
 def allocate_codes(

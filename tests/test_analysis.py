@@ -278,13 +278,22 @@ def test_p0_inverse_roundtrip(rng):
 
 def test_p0_inverse_postcondition_in_pfa_space(rng):
     # the inverse's contract holds unconditionally: feeding its output back
-    # through the forward map reproduces the requested rate to 1e-10
+    # through the forward map reproduces the requested rate to 1e-12 relative,
+    # down to the deep tail (PFA log-uniform in [1e-100, 1 - 1e-6])
     for _ in range(50):
         n = int(rng.integers(1, 56))
         m = int(rng.integers(1, n + 1))
-        pfa = float(rng.uniform(1e-6, 1.0 - 1e-6))
+        pfa = float(10.0 ** rng.uniform(-100.0, math.log10(1.0 - 1e-6)))
         back = pfa_from_p0(p0_from_pfa(pfa, n, m), n, m)
-        assert abs(back - pfa) < 1e-10
+        assert abs(back / pfa - 1.0) < 1e-12, (pfa, n, m, back)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 55, 66])
+def test_p0_inverse_m1_matches_closed_form(n):
+    # M = 1: PFA = 1 - (1 - p0)^n, so p0 = -expm1(log1p(-PFA) / n) at any depth
+    for pfa in np.logspace(-300.0, math.log10(0.5), 61):
+        exact = -math.expm1(math.log1p(-pfa) / n)
+        assert p0_from_pfa(float(pfa), n, 1) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_p0_inverse_matches_scipy(rng):
@@ -297,7 +306,7 @@ def test_p0_inverse_matches_scipy(rng):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(1, 66), st.data(), st.floats(1e-15, 0.5), st.floats(1e-6, 1.0))
+@given(st.integers(1, 66), st.data(), st.floats(1e-100, 0.5), st.floats(1e-6, 1.0))
 def test_p0_inverse_monotone_in_pfa(n, data, pfa, step):
     m = data.draw(st.integers(1, n))
     assert p0_from_pfa(pfa, n, m) < p0_from_pfa(pfa * (1.0 + step), n, m)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ def test_profiles_have_unit_power_pdp():
         assert abs(prof.pdp.sum() - 1.0) < 1e-12
     # 300 ns at 30.72 MHz puts the last table tap at sample 89
     assert len(tdl_a_profile().pdp) == 90
+
+
+def test_tdl_a_allocates_only_kept_taps():
+    # 1e9 ns spreads the table over ~3e8 samples; only max_taps of them are built
+    tracemalloc.start()
+    try:
+        prof = tdl_a_profile(1.0, FS, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prof.pdp) == 128 and prof.pdp[0] == 1.0
+    assert peak < 1 << 20
 
 
 def test_unknown_profile_kind_rejected():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from cpdsss.channel import ProfileKind
 from cpdsss.experiments import (
     CSV_COLUMNS,
     BerGate,
+    ChannelConfig,
+    CurveConfig,
     ExperimentConfig,
     ExperimentKind,
     ThresholdMode,
@@ -138,6 +141,10 @@ def config_mappings(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(config_mappings())
 def test_config_round_trip_property(mapping):
+    # the strategy draws every field at every level: a new field fails here until drawn
+    assert set(mapping) == {f.name for f in fields(ExperimentConfig)}
+    assert set(mapping["channel"]) == {f.name for f in fields(ChannelConfig)}
+    assert all(set(c) == {f.name for f in fields(CurveConfig)} for c in mapping["curves"])
     c = ExperimentConfig.from_mapping(mapping)
     for again in (ExperimentConfig.from_mapping(c.to_mapping()),
                   ExperimentConfig.from_mapping(json.loads(json.dumps(c.to_mapping())))):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from helpers import ShiftWindow, window_product
 
 from cpdsss.errors import CapacityError
+from cpdsss.experiments import amplitude_for_snr
 from cpdsss.tx import (
     CodeAssignment,
-    TxFrame,
-    UsrMessage,
     add_cp,
     allocate_codes,
     build_message,
@@ -128,22 +127,18 @@ def test_build_message_validation():
 
 
 def test_message_power_split_and_per_bit_ratio():
-    total = 8.0
-    m1 = UsrMessage.with_total_power(0, [1, -1], total)
-    m10 = UsrMessage.with_total_power(0, [1] + [-1] * 10, total)
-    assert abs(m1.total_power - total) < 1e-12
-    assert abs(m10.total_power - total) < 1e-12
-    ratio_db = 10 * math.log10(m1.amplitude**2 / m10.amplitude**2)
+    # a total frame energy of 8 over N=1024 samples at unit noise variance
+    total, n_len = 8.0, 1024
+    snr_db = 10 * math.log10(total / n_len)
+    basis = generate_zc(n_len, 1)
+    amps = {}
+    for k in (1, 10):
+        amps[k] = amplitude_for_snr(snr_db, n_len, 1.0, k)
+        assign = allocate_codes(1, k, 40, n_len)[0]
+        body = build_message(basis, assign, [1] + [-1] * k, amps[k])
+        assert abs(np.linalg.norm(body) ** 2 - total) < 1e-10
+    ratio_db = 10 * math.log10(amps[1] ** 2 / amps[10] ** 2)
     assert abs(ratio_db - 10 * math.log10(11 / 2)) < 1e-9  # 7.4037 dB
-
-
-def test_usr_message_validation():
-    with pytest.raises(ValueError):
-        UsrMessage(0, (-1, 1), 1.0)
-    with pytest.raises(ValueError):
-        UsrMessage(0, (1, 0), 1.0)
-    with pytest.raises(ValueError):
-        UsrMessage(0, (1, -1), -0.5)
 
 
 def test_add_cp_literal():
@@ -170,13 +165,6 @@ def test_cp_validation():
         add_cp(body, -1)
     with pytest.raises(ValueError):
         remove_cp(body, 8)
-
-
-def test_tx_frame_bundles_cp():
-    body = np.arange(6.0) + 0j
-    frame = TxFrame.from_body(body, 2)
-    assert np.array_equal(frame.samples, add_cp(body, 2))
-    assert frame.cp_len == 2
 
 
 def test_code_assignment_validation():
