@@ -11,7 +11,7 @@ entry points.
 
 The public names below are importable from the package itself. Each is
 loaded from its submodule on first use (PEP 562), so a process that only
-designs detectors never loads the experiment runner, its thread pool or
+designs detectors never loads the experiment engine, its thread pool or
 hashlib.
 """
 

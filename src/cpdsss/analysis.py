@@ -215,7 +215,16 @@ def pfa_from_p0(p0: float, n: int, m: int) -> float:
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be in [0, 1], got {p0}")
     q = 1.0 - p0
-    return float(sum(comb(n, i) * p0**i * q ** (n - i) for i in range(m, n + 1)))
+    try:
+        return float(sum(comb(n, i) * p0**i * q ** (n - i) for i in range(m, n + 1)))
+    except OverflowError:
+        raise _overflow(n, m) from None
+
+
+def _overflow(n: int, m: int) -> NumericalError:
+    return NumericalError(
+        f"the M-of-n tail at n={n}, M={m} needs binomial coefficients past the float range"
+    )
 
 
 def p0_from_pfa(pfa: float, n: int, m: int) -> float:
@@ -231,7 +240,10 @@ def p0_from_pfa(pfa: float, n: int, m: int) -> float:
         raise ValueError(f"target false-alarm rate must be in (0, 1), got {pfa}")
     lo, hi = 0.0, 1.0
     p = pfa  # decent start: exact for n = m = 1
-    dcoef = m * comb(n, m)
+    try:
+        dcoef = float(m * comb(n, m))
+    except OverflowError:
+        raise _overflow(n, m) from None
     for _ in range(300):
         f = pfa_from_p0(p, n, m) - pfa
         if abs(f) <= 1e-13 * pfa:  # relative: pfa may be arbitrarily small
@@ -240,7 +252,9 @@ def p0_from_pfa(pfa: float, n: int, m: int) -> float:
                 if deriv <= 0 or not math.isfinite(deriv):
                     break
                 cand = p - (pfa_from_p0(p, n, m) - pfa) / deriv
-                if not 0.0 < cand < 1.0:
+                # a converged p moves by rounding only; near PFA = 1 the residual is
+                # rounding too, over a vanishing slope, and a long step lands far off
+                if not abs(cand - p) <= 1e-8 * p:
                     break
                 p = cand
             return float(p)

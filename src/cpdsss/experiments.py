@@ -67,11 +67,6 @@ __all__ = [
     "chunk_rng",
     "trial_rng",
     "amplitude_for_snr",
-    "run_dist",
-    "run_pfa",
-    "run_pmd",
-    "run_roc",
-    "run_ber",
     "run_experiment",
 ]
 
@@ -144,8 +139,11 @@ class ChannelConfig:
             raise ConfigError(
                 f"channel.sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
             )
-        if self.max_taps < 1:
-            raise ConfigError(f"channel.max_taps must be >= 1, got {self.max_taps}")
+        # the PDP, the tap draws and _Scenario's frame-head arrays (up to max_taps x (K+1)L
+        # values) grow with max_taps after the sidecar is written; 1024 taps span 33 us at
+        # 30.72 MHz, over 100 times the default 300 ns rms delay spread
+        if not 1 <= self.max_taps <= 1024:
+            raise ConfigError(f"channel.max_taps must be in [1, 1024], got {self.max_taps}")
 
     def to_profile(self) -> ChannelProfile:
         return ChannelProfile(
@@ -247,8 +245,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", self.kind.value)
-        if self.n_len < 2:
-            raise ConfigError("n_len must be >= 2")
+        # the ZC basis and every array of _Scenario grow with n_len after the sidecar is
+        # written; 8192 is eight times the paper's frame of 1024
+        if not 2 <= self.n_len <= 8192:
+            raise ConfigError(f"n_len must be in [2, 8192], got {self.n_len}")
         if not 0 <= self.cp_len < self.n_len:
             raise ConfigError("cp_len must be in [0, n_len)")
         if self.l_taps < 1:
@@ -448,7 +448,7 @@ def chunk_rng(
 def trial_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
     """Private RNG stream for one trial of a per-trial loop over the public chain.
 
-    The runners draw whole chunks from :func:`chunk_rng` instead.
+    :func:`run_experiment` draws whole chunks from :func:`chunk_rng` instead.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, salt, index)))
 
@@ -469,7 +469,7 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-D ``a``, as a stack of products of a few rows of ``a`` each.
 
     OpenBLAS spreads a product of 2^16 or more multiply-adds over helper
-    threads, which spin on other cores and contend with the runners'
+    threads, which spin on other cores and contend with the engine's
     own worker threads; each of these smaller products stays on the
     calling thread.
     """
@@ -520,9 +520,6 @@ class _Scenario:
         shifts = np.asarray(self.assign.shift_indices)
         self.win = (shifts[:, None] + np.arange(config.l_taps)[None, :]) % n_len
         self.profile = config.channel.to_profile()
-        self.design = design_detector(
-            config.target_pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var
-        )
 
         seq, n_taps = self.basis.seq, len(self.profile.pdp)
         n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
@@ -651,168 +648,108 @@ def _rate_row(config: ExperimentConfig, curve: CurveConfig, snr: float | None, m
                      count / trials if trials else 0.0, lo, hi, trials, config.master_seed)
 
 
-def run_pfa(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Noise-only frames through the receiver; empirical false-alarm rate per curve."""
-    if config.kind is not ExperimentKind.PFA:
-        raise ConfigError("run_pfa needs kind = 'pfa'")
-    rows, derived = [], {"curves": []}
-    for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve)
-        eta = sc.design.eta
-        detections = sum(
-            _point(config, jobs, sc, ci, 0, 0, 0.0, lambda ch: int(sc.detected(ch, eta).sum()))
-        )
-        rows.append(_rate_row(config, curve, None, "pfa", detections, config.num_trials))
-        derived["curves"].append(
-            {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
-             "p0": sc.design.p0, "eta": eta, "target_pfa": config.target_pfa}
-        )
-    return ExperimentResult(config, rows, derived)
-
-
-def run_pmd(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Miss-detection rate versus SNR for each (K, M) curve."""
-    if config.kind is not ExperimentKind.PMD:
-        raise ConfigError("run_pmd needs kind = 'pmd'")
-    rows, derived = [], {"curves": []}
-    for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve)
-        eta = sc.design.eta
-        amps = {}
-        for si, snr in enumerate(config.snr_grid_db):
-            amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            amps[format(snr, ".6g")] = amp
-            misses = sum(
-                _point(config, jobs, sc, ci, si, 1, amp,
-                       lambda ch: int((~sc.detected(ch, eta)).sum()))
-            )
-            rows.append(_rate_row(config, curve, snr, "pmd", misses, config.num_trials))
-        derived["curves"].append(
-            {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
-             "p0": sc.design.p0, "eta": eta, "amplitude_by_snr_db": amps}
-        )
-    return ExperimentResult(config, rows, derived)
-
-
-def run_roc(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """(empirical PFA, PD) pairs over an analytic threshold sweep, per curve and SNR."""
-    if config.kind is not ExperimentKind.ROC:
-        raise ConfigError("run_roc needs kind = 'roc'")
-    rows, derived = [], {"curves": []}
-    for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve)
-        etas = np.array([
-            design_detector(pfa, curve.k_bits, curve.m_of_n, config.l_taps, config.noise_var).eta
-            for pfa in config.roc_pfa_grid
-        ])
-
-        def counts(ch):
-            return sc.detected(ch, etas).sum(axis=0)
-
-        h0_counts = sum(_point(config, jobs, sc, ci, 0, 0, 0.0, counts))
-        for si, snr in enumerate(config.snr_grid_db):
-            amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            h1_counts = sum(_point(config, jobs, sc, ci, si, 1, amp, counts))
-            for pfa, h1, h0 in zip(config.roc_pfa_grid, h1_counts, h0_counts):
-                tag = format(pfa, ".6g")
-                rows.append(_rate_row(config, curve, snr, f"pd@pfa={tag}", int(h1),
-                                      config.num_trials))
-                rows.append(_rate_row(config, curve, snr, f"pfa_emp@pfa={tag}", int(h0),
-                                      config.num_trials))
-        derived["curves"].append(
-            {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n,
-             "pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas))}
-        )
-    return ExperimentResult(config, rows, derived)
-
-
-def run_ber(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Uncoded BER versus SNR; optionally only over frames the CFAR detector accepts."""
-    if config.kind is not ExperimentKind.BER:
-        raise ConfigError("run_ber needs kind = 'ber'")
-    gated = config.ber_detection_gate is BerGate.CFAR
-    rows, derived = [], {"curves": [], "detection_gate": config.ber_detection_gate.value}
-    for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve)
-        eta = sc.design.eta if gated else None
-
-        def errors(ch):
-            kept = sc.detected(ch, eta) if gated else np.ones(len(ch.est), dtype=bool)
-            hard = np.where(ch.soft >= 0, 1.0, -1.0)
-            det = int(kept.sum())
-            return int((hard != ch.bits)[kept].sum()), det * curve.k_bits, det
-
-        for si, snr in enumerate(config.snr_grid_db):
-            amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            errs, nbits, det = np.sum(_point(config, jobs, sc, ci, si, 1, amp, errors), axis=0)
-            rows.append(_rate_row(config, curve, snr, "ber", int(errs), int(nbits)))
-            if gated:
-                rows.append(_rate_row(config, curve, snr, "detect_rate", int(det),
-                                      config.num_trials))
-        derived["curves"].append(
-            {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n, "eta": eta}
-        )
-    return ExperimentResult(config, rows, derived)
-
-
-def run_dist(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Histograms of the pairwise statistic under both hypotheses, per SNR."""
-    if config.kind is not ExperimentKind.DIST:
-        raise ConfigError("run_dist needs kind = 'dist'")
-    from scipy.stats import ks_2samp
-
-    rows, derived = [], {"points": []}
-    extras = {}
-    for ci, curve in enumerate(config.curves):
-        sc = _Scenario(config, curve)
-
-        def samples(ch):
-            return ch.c.ravel()
-
-        h0_samples = np.concatenate(_point(config, jobs, sc, ci, 0, 0, 0.0, samples))
-
-        for si, snr in enumerate(config.snr_grid_db):
-            amp = amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-            h1_samples = np.concatenate(_point(config, jobs, sc, ci, si, 1, amp, samples))
-            top = 1.05 * max(
-                float(np.quantile(h0_samples, 0.999)), float(np.quantile(h1_samples, 0.999)), 1e-12
-            )
-            edges = np.linspace(0.0, top, config.dist_bins + 1)
-            h0_hist, _ = np.histogram(h0_samples, bins=edges)
-            h1_hist, _ = np.histogram(h1_samples, bins=edges)
-            ks = float(ks_2samp(h0_samples, h1_samples).statistic)
-            base = dict(
-                experiment=config.name, kind=config.kind.value, snr_db=snr,
-                k_bits=curve.k_bits, m_of_n=curve.m_of_n,
-                ci_low=None, ci_high=None, trials=config.num_trials, seed=config.master_seed,
-            )
-            rows.append(ResultRow(metric="h0_c_mean", value=float(h0_samples.mean()), **base))
-            rows.append(ResultRow(metric="h1_c_mean", value=float(h1_samples.mean()), **base))
-            rows.append(
-                ResultRow(metric="h1_minus_h0_mean",
-                          value=float(h1_samples.mean() - h0_samples.mean()), **base)
-            )
-            rows.append(ResultRow(metric="expected_h1_offset", value=amp * amp, **base))
-            rows.append(ResultRow(metric="ks_h0_h1", value=ks, **base))
-            for b in range(config.dist_bins):
-                rows.append(ResultRow(metric=f"h0_hist_{b:03d}", value=float(h0_hist[b]), **base))
-                rows.append(ResultRow(metric=f"h1_hist_{b:03d}", value=float(h1_hist[b]), **base))
-            derived["points"].append(
-                {"k_bits": curve.k_bits, "snr_db": snr, "amplitude": amp,
-                 "bin_edges": [float(e) for e in edges]}
-            )
-            extras[(curve.k_bits, snr)] = {"h0": h0_samples, "h1": h1_samples}
-    return ExperimentResult(config, rows, derived, extras=extras)
-
-
-_RUNNERS = {
-    ExperimentKind.PFA: run_pfa,
-    ExperimentKind.PMD: run_pmd,
-    ExperimentKind.ROC: run_roc,
-    ExperimentKind.BER: run_ber,
-    ExperimentKind.DIST: run_dist,
-}
+_H0_KINDS = (ExperimentKind.PFA, ExperimentKind.ROC, ExperimentKind.DIST)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    return _RUNNERS[config.kind](config, jobs=jobs)
+    """Run ``config`` on ``jobs`` worker threads; one loop over the curves serves every kind.
+
+    Each curve draws the noise-only point (PFA, ROC, DIST) and one message
+    point per SNR (all kinds but PFA), reduces each chunk to what its kind
+    counts, and turns the sums into rows. Every curve's designs are solved
+    before the first chunk is drawn, so a design that fails runs no trials.
+    """
+    kind, trials = config.kind, config.num_trials
+    gated = kind is ExperimentKind.BER and config.ber_detection_gate is BerGate.CFAR
+    snrs = () if kind is ExperimentKind.PFA else config.snr_grid_db
+    if kind is ExperimentKind.ROC:
+        pfas = config.roc_pfa_grid
+    elif kind is ExperimentKind.DIST or kind is ExperimentKind.BER and not gated:
+        pfas = ()  # no threshold
+    else:
+        pfas = (config.target_pfa,)
+    designs = [[design_detector(pfa, c.k_bits, c.m_of_n, config.l_taps, config.noise_var)
+                for pfa in pfas] for c in config.curves]
+    rows, extras = [], {}
+    derived = {"points": []} if kind is ExperimentKind.DIST else {"curves": []}
+    if kind is ExperimentKind.BER:
+        derived["detection_gate"] = config.ber_detection_gate.value
+    for ci, (curve, ds) in enumerate(zip(config.curves, designs)):
+        sc = _Scenario(config, curve)
+        etas = np.array([d.eta for d in ds])
+        amps = [amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
+                for snr in snrs]
+
+        if kind is ExperimentKind.DIST:
+            def reduce(ch):
+                return ch.c.ravel()
+        elif kind is ExperimentKind.BER:
+            def reduce(ch):
+                kept = sc.detected(ch, etas[0]) if gated else np.ones(len(ch.est), dtype=bool)
+                hard = np.where(ch.soft >= 0, 1.0, -1.0)
+                det = int(kept.sum())
+                return int((hard != ch.bits)[kept].sum()), det * curve.k_bits, det
+        else:  # PFA, PMD and ROC count detections at each threshold
+            def reduce(ch):
+                return sc.detected(ch, etas).sum(axis=0)
+
+        h0 = _point(config, jobs, sc, ci, 0, 0, 0.0, reduce) if kind in _H0_KINDS else None
+        h1 = [_point(config, jobs, sc, ci, si, 1, amp, reduce) for si, amp in enumerate(amps)]
+
+        entry = {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n}
+        if kind is ExperimentKind.PFA:
+            rows.append(_rate_row(config, curve, None, "pfa", int(sum(h0)[0]), trials))
+            entry |= {"p0": ds[0].p0, "eta": ds[0].eta, "target_pfa": config.target_pfa}
+        elif kind is ExperimentKind.PMD:
+            for snr, counts in zip(snrs, h1):
+                misses = trials - int(sum(counts)[0])
+                rows.append(_rate_row(config, curve, snr, "pmd", misses, trials))
+            entry |= {"p0": ds[0].p0, "eta": ds[0].eta, "amplitude_by_snr_db":
+                      {format(snr, ".6g"): amp for snr, amp in zip(snrs, amps)}}
+        elif kind is ExperimentKind.ROC:
+            h0_counts = sum(h0)
+            for snr, counts in zip(snrs, h1):
+                for pfa, h1_count, h0_count in zip(config.roc_pfa_grid, sum(counts), h0_counts):
+                    tag = format(pfa, ".6g")
+                    rows.append(_rate_row(config, curve, snr, f"pd@pfa={tag}", int(h1_count),
+                                          trials))
+                    rows.append(_rate_row(config, curve, snr, f"pfa_emp@pfa={tag}",
+                                          int(h0_count), trials))
+            entry |= {"pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas))}
+        elif kind is ExperimentKind.BER:
+            for snr, counts in zip(snrs, h1):
+                errs, nbits, det = np.sum(counts, axis=0)
+                rows.append(_rate_row(config, curve, snr, "ber", int(errs), int(nbits)))
+                if gated:
+                    rows.append(_rate_row(config, curve, snr, "detect_rate", int(det), trials))
+            entry["eta"] = ds[0].eta if gated else None
+        else:
+            from scipy.stats import ks_2samp  # the only kind that needs scipy
+
+            h0_samples = np.concatenate(h0)
+            for snr, amp, chunks in zip(snrs, amps, h1):
+                h1_samples = np.concatenate(chunks)
+                top = 1.05 * max(float(np.quantile(h0_samples, 0.999)),
+                                 float(np.quantile(h1_samples, 0.999)), 1e-12)
+                edges = np.linspace(0.0, top, config.dist_bins + 1)
+                h0_hist, _ = np.histogram(h0_samples, bins=edges)
+                h1_hist, _ = np.histogram(h1_samples, bins=edges)
+                values = {
+                    "h0_c_mean": float(h0_samples.mean()),
+                    "h1_c_mean": float(h1_samples.mean()),
+                    "h1_minus_h0_mean": float(h1_samples.mean() - h0_samples.mean()),
+                    "expected_h1_offset": amp * amp,
+                    "ks_h0_h1": float(ks_2samp(h0_samples, h1_samples).statistic),
+                }
+                for b in range(config.dist_bins):
+                    values[f"h0_hist_{b:03d}"] = float(h0_hist[b])
+                    values[f"h1_hist_{b:03d}"] = float(h1_hist[b])
+                rows.extend(ResultRow(config.name, kind.value, snr, curve.k_bits, curve.m_of_n,
+                                      metric, value, None, None, trials, config.master_seed)
+                            for metric, value in values.items())
+                derived["points"].append({"k_bits": curve.k_bits, "snr_db": snr, "amplitude": amp,
+                                          "bin_edges": [float(e) for e in edges]})
+                extras[(curve.k_bits, snr)] = {"h0": h0_samples, "h1": h1_samples}
+        if kind is not ExperimentKind.DIST:
+            derived["curves"].append(entry)
+    return ExperimentResult(config, rows, derived, extras=extras)

@@ -31,14 +31,7 @@ from cpdsss.analysis import (
     processing_gain_db,
     solve_threshold,
 )
-from cpdsss.experiments import (
-    ExperimentConfig,
-    _Scenario,
-    run_ber,
-    run_pfa,
-    run_pmd,
-    run_roc,
-)
+from cpdsss.experiments import ExperimentConfig, _Scenario, run_experiment
 from cpdsss.rx import despread_full, direct_mul_count, fft_mul_count
 from cpdsss.zc import cyclic_shift, generate_zc
 
@@ -144,7 +137,7 @@ def test_criterion_4_cfar_calibration(capsys):
         "num_trials": 200_000,
         "master_seed": 41,
     })
-    rows = run_pfa(config).rows
+    rows = run_experiment(config).rows
     k1, k10 = rows[0], rows[1]
     k1_ok = k1.ci_low <= 0.001 <= k1.ci_high
     # with M=1 a false alarm is the union of the 55 pair exceedances, so the
@@ -172,7 +165,7 @@ def test_pfa_k10_midrange_m_reproduces_elevated_rate(capsys):
         "num_trials": 150_000,
         "master_seed": 43,
     })
-    row = run_pfa(config).rows[0]
+    row = run_experiment(config).rows[0]
     ok = 0.0015 <= row.value <= 0.0035
     _report(capsys, "companion k10-midrange-m-pfa", ok,
             f"K=10/M=20: pfa {row.value:.5f} in [0.0015, 0.0035] at nominal 0.001")
@@ -187,7 +180,7 @@ def test_criterion_5_roc_operating_point(capsys):
         "master_seed": 53,
         "roc_pfa_grid": [1e-3],
     })
-    rows = run_roc(config).rows
+    rows = run_experiment(config).rows
     pd_row = next(r for r in rows if r.metric == "pd@pfa=0.001")
     ok = pd_row.value >= 0.98
     _report(capsys, "criterion-5 roc-point", ok,
@@ -196,11 +189,11 @@ def test_criterion_5_roc_operating_point(capsys):
 
 def test_criterion_6_ber_shift(capsys):
     base = {"kind": "ber", "master_seed": 61}
-    r1 = run_ber(ExperimentConfig.from_mapping(
+    r1 = run_experiment(ExperimentConfig.from_mapping(
         {**base, "curves": [{"k_bits": 1, "m_of_n": 1}],
          "snr_grid_db": [-17.0, -16.0, -15.0, -14.0], "num_trials": 20_000}
     ))
-    r10 = run_ber(ExperimentConfig.from_mapping(
+    r10 = run_experiment(ExperimentConfig.from_mapping(
         {**base, "curves": [{"k_bits": 10, "m_of_n": 1}],
          "snr_grid_db": [-10.0, -9.0, -8.0, -7.0], "num_trials": 4_000}
     ))
@@ -224,7 +217,7 @@ def test_criterion_7_pmd_ordering(capsys):
         "num_trials": 10_000,
         "master_seed": 71,
     })
-    rows = run_pmd(config).rows
+    rows = run_experiment(config).rows
     by_curve = {}
     for r in rows:
         by_curve.setdefault(r.k_bits, []).append(r)

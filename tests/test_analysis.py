@@ -30,6 +30,7 @@ from cpdsss.analysis import (
     processing_gain_db,
     solve_threshold,
 )
+from cpdsss.errors import NumericalError
 from cpdsss.experiments import THRESHOLD_TABLE_COLUMNS, write_threshold_table
 
 # ---------------------------------------------------------------- Bessel ----
@@ -288,6 +289,26 @@ def test_p0_inverse_postcondition_in_pfa_space(rng):
         assert abs(back / pfa - 1.0) < 1e-12, (pfa, n, m, back)
 
 
+def _exact_pfa(p0, n, m):
+    with mpmath.workdps(40):
+        return float(mpmath.betainc(m, n - m + 1, 0, p0, regularized=True))
+
+
+def test_p0_inverse_near_one(rng):
+    # below 1 - PFA ~ 1e-13 the start p = PFA already meets the stop test;
+    # a Newton polish over the vanishing slope there once took p0 far off
+    # (0.875, whose rate is 0.984, for the first case)
+    for pfa, n, m in ((0.9999999999999956, 2, 1), (0.9999999999999982, 5, 4)):
+        assert abs(_exact_pfa(p0_from_pfa(pfa, n, m), n, m) - pfa) <= 1e-12 * pfa
+    for _ in range(3000):
+        pfa = 1.0 - 10.0 ** -rng.uniform(0.3, 15.0)
+        k = int(rng.integers(1, 12))
+        n = k * (k + 1) // 2
+        m = int(rng.integers(1, n + 1))
+        p0 = p0_from_pfa(pfa, n, m)
+        assert abs(_exact_pfa(p0, n, m) - pfa) <= 1e-12 * pfa, (pfa, n, m, p0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 55, 66])
 def test_p0_inverse_m1_matches_closed_form(n):
     # M = 1: PFA = 1 - (1 - p0)^n, so p0 = -expm1(log1p(-PFA) / n) at any depth
@@ -310,6 +331,14 @@ def test_p0_inverse_matches_scipy(rng):
 def test_p0_inverse_monotone_in_pfa(n, data, pfa, step):
     m = data.draw(st.integers(1, n))
     assert p0_from_pfa(pfa, n, m) < p0_from_pfa(pfa * (1.0 + step), n, m)
+
+
+@pytest.mark.parametrize("n, m", [(1035, 1), (1035, 563)])
+def test_p0_inverse_tail_overflow_is_numerical_error(n, m):
+    # C(1035, i) passes the float range near i = n/2; at M = 563 the tail
+    # from M fits, but the derivative's M * C(n, M) does not
+    with pytest.raises(NumericalError, match=f"n={n}, M={m}"):
+        p0_from_pfa(0.5, n, m)
 
 
 def test_p0_inverse_domain():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import cpdsss
-from cpdsss import cli
+from cpdsss import cli, experiments
 from cpdsss.analysis import p0_from_pfa, pfa_from_p0
 from cpdsss.errors import NumericalError
 
@@ -87,6 +88,15 @@ def test_design_threshold_rejects_bad_grid_up_front(tmp_path, capsys, args):
     rc = cli.main(["design-threshold", *args, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "thresholds.csv").exists()
+
+
+def test_design_threshold_tail_overflow_exits_3(tmp_path, capsys):
+    # K = 45 (n = 1035) is the first K whose binomial coefficients pass the float range
+    rc = cli.main(["design-threshold", "--k-bits", "45", "--l-taps", "1", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "n=1035, M=1" in err
     assert not (tmp_path / "thresholds.csv").exists()
 
 
@@ -199,6 +209,8 @@ def test_simulate_nonfinite_override_rejected(tmp_path, capsys, override):
     ("roc.json", "num_trials=2.7"),
     ("roc.json", "master_seed=1.5"),
     ("roc.json", "noise_var=1" + "0" * 400),  # an integer past the float range
+    ("roc.json", "n_len=8193"),
+    ("roc.json", "channel.max_taps=1025"),
 ])
 def test_simulate_bad_config_exits_2_before_writing(tmp_path, capsys, config, override):
     out = tmp_path / "o"
@@ -207,6 +219,49 @@ def test_simulate_bad_config_exits_2_before_writing(tmp_path, capsys, config, ov
     assert rc == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # neither the sidecar nor the CSV
+
+
+def test_simulate_tail_overflow_exits_3_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the capacity check admits K = 60 at L = 15: 61 x 16 = 976 code shifts <= 1024
+    config = write_config(tmp_path / "c.json", l_taps=15,
+                          curves=[{"k_bits": 1, "m_of_n": 1}, {"k_bits": 60, "m_of_n": 1}])
+
+    def no_trials(*args):
+        raise AssertionError("a chunk was drawn before every design was solved")
+
+    monkeypatch.setattr(experiments, "_point", no_trials)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "n=1830, M=1" in capsys.readouterr().err
+    assert not (out / "cli_demo.csv").exists()
+
+
+# CSV SHA-256 of each count-based config at num_trials=600: chunk keys, RNG
+# streams and row order fix these bytes. DIST is not pinned, as its float
+# means may move with the BLAS build.
+CSV_SHA256 = {
+    "ber.json": "e7d62364fee3e19e2efba5248051740a002ac9f0ed232a72c896403d27b2d04a",
+    "pfa.json": "a9337c1cf9a12316c0efca9860d7d69c7047822023dc3ce6864687ddb36cb13c",
+    "pmd.json": "4550be07c38c5423c52423a05db3c17ffa716260dff265b661560fcee7202033",
+    "roc.json": "f05733e286ae02702f9e740a12ec09d7d10bb980a735b8a389b7fb1ad35bca95",
+}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_simulate_bytes_identical_across_jobs(tmp_path, name):
+    outs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = cli.main(["simulate", "--config", os.path.join(CONFIGS, name), "--out", str(out),
+                       "--jobs", jobs, "--set", "num_trials=600"])
+        assert rc == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 2  # the CSV and the sidecar
+    if name in CSV_SHA256:
+        (csv_bytes,) = [v for k, v in outs[0].items() if k.endswith(".csv")]
+        assert hashlib.sha256(csv_bytes).hexdigest() == CSV_SHA256[name]
 
 
 def test_imports_stay_light():

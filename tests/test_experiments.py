@@ -24,12 +24,7 @@ from cpdsss.experiments import (
     _Scenario,
     amplitude_for_snr,
     chunk_rng,
-    run_ber,
-    run_dist,
     run_experiment,
-    run_pfa,
-    run_pmd,
-    run_roc,
     trial_rng,
     wilson_interval,
 )
@@ -318,7 +313,7 @@ PFA_QUICK = dict(kind="pfa", target_pfa=0.05, num_trials=20_000, master_seed=11)
 
 
 def test_run_pfa_matches_target_at_quick_scale():
-    res = run_pfa(cfg(**PFA_QUICK))
+    res = run_experiment(cfg(**PFA_QUICK))
     row = res.rows[0]
     assert row.metric == "pfa"
     assert row.ci_low <= 0.05 <= row.ci_high
@@ -327,30 +322,30 @@ def test_run_pfa_matches_target_at_quick_scale():
 
 def test_results_identical_across_worker_counts():
     c = cfg(kind="pfa", target_pfa=0.05, num_trials=3_000, master_seed=3)
-    r1 = run_pfa(c, jobs=1)
-    r4 = run_pfa(c, jobs=4)
+    r1 = run_experiment(c, jobs=1)
+    r4 = run_experiment(c, jobs=4)
     assert r1.to_csv_text() == r4.to_csv_text()
     c2 = cfg(kind="pmd", snr_grid_db=[-12.0], num_trials=600, master_seed=3)
-    assert run_pmd(c2, jobs=1).to_csv_text() == run_pmd(c2, jobs=5).to_csv_text()
+    assert run_experiment(c2, jobs=1).to_csv_text() == run_experiment(c2, jobs=5).to_csv_text()
 
 
 def test_est_sigma_threshold_mode_tracks_target():
     c = cfg(kind="pfa", target_pfa=0.05, num_trials=20_000, master_seed=13,
             threshold_mode="est_sigma")
-    row = run_pfa(c).rows[0]
+    row = run_experiment(c).rows[0]
     assert row.ci_low <= 0.05 <= row.ci_high
 
 
 def test_run_pmd_zero_misses_at_high_snr():
     c = cfg(kind="pmd", snr_grid_db=[0.0], num_trials=1_000, master_seed=2)
-    row = run_pmd(c).rows[0]
+    row = run_experiment(c).rows[0]
     assert row.metric == "pmd" and row.value == 0.0
 
 
 def test_run_dist_h0_matches_analytic_and_h1_offset():
     c = cfg(kind="dist", snr_grid_db=[0.0], num_trials=20_000, master_seed=4,
             dist_bins=40)
-    res = run_dist(c)
+    res = run_experiment(c)
     samples = res.extras[(1, 0.0)]
     ks = kstest(samples["h0"], lambda x: erlang_mixture_cdf(40, 1.0, x))
     assert ks.pvalue > 0.01
@@ -367,7 +362,7 @@ def test_run_dist_h0_matches_analytic_and_h1_offset():
 def test_run_roc_monotone_and_dominant():
     c = cfg(kind="roc", snr_grid_db=[-12.0], num_trials=3_000, master_seed=6,
             roc_pfa_grid=[1e-3, 1e-2, 1e-1, 3e-1])
-    res = run_roc(c)
+    res = run_experiment(c)
     pd = [r.value for r in res.rows if r.metric.startswith("pd@")]
     pfa_emp = [r.value for r in res.rows if r.metric.startswith("pfa_emp@")]
     assert all(b >= a for a, b in zip(pd, pd[1:]))  # PD nondecreasing in PFA
@@ -378,8 +373,8 @@ def test_run_roc_monotone_and_dominant():
 def test_run_roc_k10_underperforms_k1_at_matched_pfa():
     common = dict(kind="roc", snr_grid_db=[-12.0], num_trials=3_000, master_seed=14,
                   roc_pfa_grid=[1e-3])
-    pd1 = run_roc(cfg(**common, curves=[{"k_bits": 1, "m_of_n": 1}])).rows[0].value
-    pd10 = run_roc(cfg(**common, curves=[{"k_bits": 10, "m_of_n": 20}])).rows[0].value
+    pd1 = run_experiment(cfg(**common, curves=[{"k_bits": 1, "m_of_n": 1}])).rows[0].value
+    pd10 = run_experiment(cfg(**common, curves=[{"k_bits": 10, "m_of_n": 20}])).rows[0].value
     assert pd1 > pd10 + 0.05  # sharing power over 11 codes costs detection
 
 
@@ -387,7 +382,7 @@ def test_run_roc_chance_level_when_no_signal():
     # an H1 ensemble with (essentially) zero amplitude behaves like noise
     c = cfg(kind="roc", snr_grid_db=[-400.0], num_trials=4_000, master_seed=8,
             roc_pfa_grid=[0.05, 0.2])
-    res = run_roc(c)
+    res = run_experiment(c)
     pd = {r.metric: r.value for r in res.rows if r.metric.startswith("pd@")}
     for metric, value in pd.items():
         target = float(metric.split("=")[1])
@@ -397,17 +392,17 @@ def test_run_roc_chance_level_when_no_signal():
 
 def test_run_ber_increases_with_k_and_gating_rows():
     common = dict(kind="ber", snr_grid_db=[-14.0], num_trials=2_000, master_seed=9)
-    ber1 = run_ber(cfg(**common)).rows[0].value
-    ber10 = run_ber(cfg(**common, curves=[{"k_bits": 10, "m_of_n": 1}])).rows[0].value
+    ber1 = run_experiment(cfg(**common)).rows[0].value
+    ber10 = run_experiment(cfg(**common, curves=[{"k_bits": 10, "m_of_n": 1}])).rows[0].value
     assert ber10 > ber1 > 0
-    gated = run_ber(cfg(**common, ber_detection_gate="cfar"))
+    gated = run_experiment(cfg(**common, ber_detection_gate="cfar"))
     metrics = [r.metric for r in gated.rows]
     assert "ber" in metrics and "detect_rate" in metrics
 
 
 def test_csv_schema_and_write(tmp_path):
     c = cfg(kind="pfa", target_pfa=0.05, num_trials=500, master_seed=1, name="demo")
-    res = run_pfa(c)
+    res = run_experiment(c)
     csv_path, sidecar = res.write(tmp_path)
     text = open(csv_path).read()
     header = text.splitlines()[0]
@@ -425,5 +420,3 @@ def test_csv_schema_and_write(tmp_path):
 def test_run_experiment_dispatch():
     c = cfg(kind="pfa", target_pfa=0.1, num_trials=200, master_seed=1)
     assert run_experiment(c).rows[0].metric == "pfa"
-    with pytest.raises(ConfigError):
-        run_pmd(c)  # wrong kind for the runner
