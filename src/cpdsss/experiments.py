@@ -17,9 +17,10 @@ chain is what the tests check the sampler against.
 Determinism contract: the trials of one (curve, SNR point, hypothesis)
 are cut into fixed chunks of ``_CHUNK``, and chunk q draws from its own
 stream keyed by (master_seed, curve index, SNR index, hypothesis, q), so
-results are bit-identical for any worker count. Worker threads take whole
-chunks and partial aggregates are combined in chunk order, which keeps
-even floating-point reductions byte-stable.
+results are bit-identical for any worker count. A run submits every chunk
+of every point to one pool of worker threads up front, and each point's
+partial aggregates are combined in chunk order, which keeps even
+floating-point reductions byte-stable.
 
 SNR definition: configured SNR is the per-sample received message power
 (averaged over bits and channel realizations, with unit-energy channels)
@@ -35,8 +36,10 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import partial
 from math import gcd, inf, isfinite, sqrt
 from typing import NamedTuple, get_args, get_origin, get_type_hints
 
@@ -47,7 +50,7 @@ from ._version import __version__ as _code_version
 from .analysis import DetectorDesign, design_detector
 from .channel import ChannelProfile, ProfileKind, draw_taps
 from .errors import ConfigError
-from .rx import detect, pairwise_stats
+from .rx import detect
 from .tx import allocate_codes
 from .zc import generate_zc
 
@@ -333,7 +336,6 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[ResultRow]
     derived: dict
-    extras: dict = field(default_factory=dict, repr=False)
 
     def to_csv_text(self) -> str:
         def fmt(v, spec=".12g"):
@@ -505,10 +507,18 @@ class _Scenario:
     * the frame power follows by Parseval from the window samples, the
       noiseless energy outside the windows, which sees one complex noise
       sample along it, and sigma^2 * Gamma(N - W - 1) for the other
-      N - W - 1 noise dimensions (W = (K+1)*L).
+      N - W - 1 noise dimensions (W = (K+1)*L);
+    * without a message the receiver reads only inner products of the
+      windows, the Gram matrix G of K+1 iid CN(0, sigma^2 I_L) vectors.
+      Rows of the lower-trapezoidal LQ factor T of the windows (K+1 by
+      r = min(K+1, L)) have the same inner products, and T is drawn
+      directly by the complex Bartlett decomposition (Goodman 1963, Ann.
+      Math. Stat. 34): |T_ii|^2 is sigma^2 * Gamma(L - i) and the entries
+      below the diagonal are CN(0, sigma^2), all independent. The frame
+      power is then (tr G + sigma^2 * Gamma(N - W)) / N.
 
-    Both are exact; the tests hold ``window_signal`` to the tx -> channel
-    -> rx chain.
+    All are exact; the tests hold ``window_signal`` to the tx -> channel
+    -> rx chain, and the chunks to it in distribution.
     """
 
     def __init__(self, config: ExperimentConfig, curve: CurveConfig):
@@ -520,18 +530,22 @@ class _Scenario:
         shifts = np.asarray(self.assign.shift_indices)
         self.win = (shifts[:, None] + np.arange(config.l_taps)[None, :]) % n_len
         self.profile = config.channel.to_profile()
+        self._pairs = np.triu_indices(len(shifts), 1)  # (i, j) of the statistics, i < j
 
         seq, n_taps = self.basis.seq, len(self.profile.pdp)
         n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
+        offset = (shifts[:, None] - shifts[None, :]) % n_len
         # Window j, sample r reads tap (o + r) mod N of code k, o = (i_j - i_k) mod N.
         # Code pairs sharing an offset form a band; bands that reach no tap are dropped.
-        offset = (shifts[:, None] - shifts[None, :]) % n_len
-        self._bands = []
-        for o in sorted(set(offset.flat)):
-            tap = (o + np.arange(config.l_taps)) % n_len
-            if (tap < n_circ).any():
-                js, ks = np.nonzero(offset == o)
-                self._bands.append((js, ks, np.where(tap < n_circ, tap, n_circ)))
+        # Band b reads taps _band_taps[b] (n_circ is a zero past the last tap) of code
+        # _band_code[j, b] into window j, weighted 0 where no code of window j has its offset.
+        bands = np.array([o for o in sorted(set(offset.flat))
+                          if ((o + np.arange(config.l_taps)) % n_len < n_circ).any()])
+        tap = (bands[:, None] + np.arange(config.l_taps)) % n_len
+        self._band_taps = np.where(tap < n_circ, tap, n_circ)
+        partner = offset[:, :, None] == bands  # (window j, code k, band b)
+        self._band_code = partner.argmax(axis=1)
+        self._band_weight = partner.any(axis=1).astype(float)
         # ||despread circular convolution||^2 = sum_k a_k^2 ||h||^2
         #   + 2 sum_{k<k'} a_k a_k' Re sum_m h[m] conj(h[(m + o_kk') mod N])
         self._lags = []
@@ -572,45 +586,66 @@ class _Scenario:
             corr = np.sum(circ[:, m] * circ[:, m_shift].conj(), axis=1).real
             energy += 2.0 * corr * np.sum(coef[:, ks] * coef[:, kps], axis=1)
         circ = np.concatenate((circ, np.zeros((size, 1))), axis=1)  # a zero past the last tap
-        window = np.zeros((size, *self.win.shape), complex)
-        for js, ks, tap in self._bands:
-            window[:, js] += coef[:, ks, None] * circ[:, None, tap]
+        # (B, K+1, bands) code amplitudes times the (B, bands, L) taps, real and imaginary
+        # parts side by side
+        amps = coef[:, self._band_code] * self._band_weight
+        window = (amps @ np.take(circ, self._band_taps, axis=1).view(np.float64)).view(complex)
         if len(self._missing):
             rows = sliding_window_view(_matmul_rows(coef, self._code_seg), n_taps, axis=1)
             reversed_taps = taps[:, ::-1]
             circ_head = np.einsum("bnj,bj->bn", rows, reversed_taps)
             cols = self._missing.shape[1]
             missing = np.einsum(
-                "bnj,bj->bn", rows[:, :, :cols] * self._missing, reversed_taps[:, :cols]
+                "bnj,nj,bj->bn", rows[:, :, :cols], self._missing, reversed_taps[:, :cols]
             )
             window -= _matmul_rows(missing, self._head_despread).reshape(window.shape)
             energy += _power(circ_head - missing) - _power(circ_head)
         return window, energy
 
     def chunk(self, rng, hypothesis: int, amplitude: float, size: int) -> _Chunk:
-        """``size`` trials of one hypothesis from ``rng``: bits, then channel, then noise."""
+        """``size`` trials of one hypothesis from ``rng``.
+
+        A message chunk draws bits, then channel, then the noise on the
+        windows and off them. A noise-only chunk draws the rows of the LQ
+        factor of its windows instead (see the class docstring), then the
+        noise off the windows.
+        """
         n_len, var = self.config.n_len, self.config.noise_var
         width = self.win.size
-        bits, outside = None, 0.0
+        sd = sqrt(var / 2.0)
+        bits = None
         if hypothesis:
             bits = rng.integers(0, 2, size=(size, self.curve.k_bits)) * 2.0 - 1.0
             coef = amplitude * np.concatenate((np.ones((size, 1)), bits), axis=1)
             signal, energy = self.window_signal(coef, draw_taps(self.profile, rng, size))
             outside = np.maximum(energy - _power(signal.reshape(size, width)), 0.0)
-        sd = sqrt(var / 2.0)
-        x = sd * rng.standard_normal((size, 2 * width)).view(complex).reshape(size, *self.win.shape)
-        if hypothesis:
+            x = rng.standard_normal((size, 2 * width))
+            x *= sd  # in place: every fresh chunk-sized temporary costs page faults
+            x = x.view(complex).reshape(size, *self.win.shape)
             x += signal
-        # noise along the energy outside the windows, then across the other N - W - 1 dimensions
-        along = sd * rng.standard_normal((size, 2))
-        rest = var * rng.standard_gamma(n_len - width - 1, size)
-        est = (
-            _power(x.reshape(size, width)) + (np.sqrt(outside) + along[:, 0]) ** 2
-            + along[:, 1] ** 2 + rest
-        ) / n_len
-        c, _, _ = pairwise_stats(x)
-        soft = np.einsum("bl,bkl->bk", x[:, 0].conj(), x[:, 1:]).real
-        return _Chunk(c, soft, bits, est)
+            # noise along the energy outside the windows, then across the other N - W - 1
+            # dimensions
+            along = sd * rng.standard_normal((size, 2))
+            rest = var * rng.standard_gamma(n_len - width - 1, size)
+            est = (
+                _power(x.reshape(size, width)) + (np.sqrt(outside) + along[:, 0]) ** 2
+                + along[:, 1] ** 2 + rest
+            ) / n_len
+        else:  # rows of the LQ factor of the windows, of rank min(K+1, L)
+            k1, l_taps = self.win.shape
+            rank = min(k1, l_taps)
+            x = np.zeros((size, k1, rank), complex)
+            diag = np.arange(rank)
+            x[:, diag, diag] = np.sqrt(var * rng.standard_gamma(l_taps - diag, (size, rank)))
+            i, j = np.tril_indices(k1, -1, rank)
+            x[:, i, j] = sd * rng.standard_normal((size, 2 * len(i))).view(complex)
+            rest = var * rng.standard_gamma(n_len - width, size)
+            est = (_power(x.reshape(size, -1)) + rest) / n_len
+        # Re G_ij = Re[y_iH y_j], one real product over the real and imaginary parts of the rows
+        parts = x.view(np.float64)
+        gram = parts @ parts.swapaxes(1, 2)
+        i, j = self._pairs
+        return _Chunk(np.abs(gram[:, i, j]), gram[:, 0, 1:], bits, est)
 
     def detected(self, ch: _Chunk, eta) -> np.ndarray:
         """M-of-n decisions, shape (B,) + np.shape(eta), for one threshold or a grid.
@@ -624,20 +659,40 @@ class _Scenario:
         return detect(ch.c, self.curve.m_of_n, np.multiply.outer(scale, eta))
 
 
-def _point(config: ExperimentConfig, jobs: int, sc: _Scenario, curve_idx: int, snr_idx: int,
+def _point(config: ExperimentConfig, sc: _Scenario, curve_idx: int, snr_idx: int,
            hypothesis: int, amplitude: float, reduce) -> list:
-    """``reduce`` of every chunk of one experiment point, in chunk order."""
+    """The chunk tasks of one experiment point, in chunk order.
+
+    Each task draws its chunk and returns ``reduce`` of it.
+    """
 
     def one(q):
         rng = chunk_rng(config.master_seed, curve_idx, snr_idx, hypothesis, q)
         size = min(_CHUNK, config.num_trials - q * _CHUNK)
         return reduce(sc.chunk(rng, hypothesis, amplitude, size))
 
-    chunks = range(-(-config.num_trials // _CHUNK))
-    if jobs <= 1 or len(chunks) <= 1:
-        return [one(q) for q in chunks]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(one, chunks))
+    return [partial(one, q) for q in range(-(-config.num_trials // _CHUNK))]
+
+
+def _detections(sc: _Scenario, etas: np.ndarray, ch: _Chunk) -> np.ndarray:
+    """Detections of a chunk at each threshold of ``etas`` (PFA, PMD, ROC)."""
+    return sc.detected(ch, etas).sum(axis=0)
+
+
+def _bit_errors(sc: _Scenario, eta, ch: _Chunk) -> tuple[int, int, int]:
+    """Bit errors, bits and frames of a chunk over the frames a detector at ``eta`` keeps.
+
+    ``eta`` None keeps every frame.
+    """
+    kept = np.ones(len(ch.est), dtype=bool) if eta is None else sc.detected(ch, eta)
+    hard = np.where(ch.soft >= 0, 1.0, -1.0)
+    det = int(kept.sum())
+    return int((hard != ch.bits)[kept].sum()), det * sc.curve.k_bits, det
+
+
+def _samples(ch: _Chunk) -> np.ndarray:
+    """The pairwise statistics of a chunk, flattened (DIST)."""
+    return ch.c.ravel()
 
 
 def _rate_row(config: ExperimentConfig, curve: CurveConfig, snr: float | None, metric: str,
@@ -657,7 +712,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     Each curve draws the noise-only point (PFA, ROC, DIST) and one message
     point per SNR (all kinds but PFA), reduces each chunk to what its kind
     counts, and turns the sums into rows. Every curve's designs are solved
-    before the first chunk is drawn, so a design that fails runs no trials.
+    before the first chunk is drawn, so a design that fails runs no trials;
+    then the chunks of every point of every curve run on one pool.
     """
     kind, trials = config.kind, config.num_trials
     gated = kind is ExperimentKind.BER and config.ber_detection_gate is BerGate.CFAR
@@ -670,32 +726,37 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         pfas = (config.target_pfa,)
     designs = [[design_detector(pfa, c.k_bits, c.m_of_n, config.l_taps, config.noise_var)
                 for pfa in pfas] for c in config.curves]
-    rows, extras = [], {}
+    rows = []
     derived = {"points": []} if kind is ExperimentKind.DIST else {"curves": []}
     if kind is ExperimentKind.BER:
         derived["detection_gate"] = config.ber_detection_gate.value
+    plans, tasks = [], []
     for ci, (curve, ds) in enumerate(zip(config.curves, designs)):
         sc = _Scenario(config, curve)
         etas = np.array([d.eta for d in ds])
         amps = [amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
                 for snr in snrs]
-
+        # the reducer holds this curve's scenario and thresholds: its chunks run after the loop
         if kind is ExperimentKind.DIST:
-            def reduce(ch):
-                return ch.c.ravel()
+            reduce = _samples
         elif kind is ExperimentKind.BER:
-            def reduce(ch):
-                kept = sc.detected(ch, etas[0]) if gated else np.ones(len(ch.est), dtype=bool)
-                hard = np.where(ch.soft >= 0, 1.0, -1.0)
-                det = int(kept.sum())
-                return int((hard != ch.bits)[kept].sum()), det * curve.k_bits, det
-        else:  # PFA, PMD and ROC count detections at each threshold
-            def reduce(ch):
-                return sc.detected(ch, etas).sum(axis=0)
+            reduce = partial(_bit_errors, sc, etas[0] if gated else None)
+        else:
+            reduce = partial(_detections, sc, etas)
+        if kind in _H0_KINDS:
+            tasks += _point(config, sc, ci, 0, 0, 0.0, reduce)
+        for si, amp in enumerate(amps):
+            tasks += _point(config, sc, ci, si, 1, amp, reduce)
+        plans.append((curve, ds, etas, amps))
 
-        h0 = _point(config, jobs, sc, ci, 0, 0, 0.0, reduce) if kind in _H0_KINDS else None
-        h1 = [_point(config, jobs, sc, ci, si, 1, amp, reduce) for si, amp in enumerate(amps)]
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        done = list((pool.map if pool else map)(lambda task: task(), tasks))
+    chunks = -(-trials // _CHUNK)
+    points = iter([done[i:i + chunks] for i in range(0, len(done), chunks)])
 
+    for curve, ds, etas, amps in plans:
+        h0 = next(points) if kind in _H0_KINDS else None
+        h1 = [next(points) for _ in amps]
         entry = {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n}
         if kind is ExperimentKind.PFA:
             rows.append(_rate_row(config, curve, None, "pfa", int(sum(h0)[0]), trials))
@@ -749,7 +810,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
                             for metric, value in values.items())
                 derived["points"].append({"k_bits": curve.k_bits, "snr_db": snr, "amplitude": amp,
                                           "bin_edges": [float(e) for e in edges]})
-                extras[(curve.k_bits, snr)] = {"h0": h0_samples, "h1": h1_samples}
         if kind is not ExperimentKind.DIST:
             derived["curves"].append(entry)
-    return ExperimentResult(config, rows, derived, extras=extras)
+    return ExperimentResult(config, rows, derived)

@@ -178,15 +178,18 @@ def binomial_tail_oracle(p0: float, n: int, m: int) -> float:
     return float(betainc(m, n - m + 1, p0))
 
 
-def full_chain_h0(sc, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One noise-only frame through the receiver: pairwise statistics and frame power.
+def full_chain_h0(sc, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """One noise-only frame through the receiver: pairwise statistics, soft bit metrics
+    and frame power.
 
     ``sc`` is an experiments ``_Scenario``; it supplies the basis, the code
     assignment and the configuration.
     """
     y = superpose([], NoiseSpec(sc.config.noise_var), rng, n_samples=sc.config.n_len)
-    c, _, _ = pairwise_stats(extract_user(despread_full(sc.basis, y), sc.assign).vectors)
-    return c, estimate_noise_power(y)
+    ds = extract_user(despread_full(sc.basis, y), sc.assign)
+    c, _, _ = pairwise_stats(ds.vectors)
+    _, soft = recover_bits(ds)
+    return c, np.asarray(soft), estimate_noise_power(y)
 
 
 def full_chain_h1(sc, rng: np.random.Generator, amplitude: float):

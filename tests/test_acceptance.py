@@ -51,7 +51,7 @@ def _collect_h0_statistics(num_trials: int, seed: int) -> np.ndarray:
     sc = _Scenario(config, config.curves[0])
     out = np.empty(num_trials)
     for t in range(num_trials):
-        c, _ = full_chain_h0(sc, np.random.default_rng(np.random.SeedSequence((seed, 0, t))))
+        c, _, _ = full_chain_h0(sc, np.random.default_rng(np.random.SeedSequence((seed, 0, t))))
         out[t] = c[0]
     return out
 

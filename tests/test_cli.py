@@ -244,7 +244,7 @@ CSV_SHA256 = {
     "ber.json": "e7d62364fee3e19e2efba5248051740a002ac9f0ed232a72c896403d27b2d04a",
     "pfa.json": "a9337c1cf9a12316c0efca9860d7d69c7047822023dc3ce6864687ddb36cb13c",
     "pmd.json": "4550be07c38c5423c52423a05db3c17ffa716260dff265b661560fcee7202033",
-    "roc.json": "f05733e286ae02702f9e740a12ec09d7d10bb980a735b8a389b7fb1ad35bca95",
+    "roc.json": "9be4647ffede8680c2d378e729eabc9cfdd1d0c2b697d2b250d3913b68ea115d",
 }
 
 

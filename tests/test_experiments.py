@@ -275,36 +275,50 @@ def test_noise_only_frame_power_is_gamma_distributed():
     assert kstest(scaled, gamma(config.n_len).cdf).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("hypothesis", [0, 1])
-@pytest.mark.parametrize("k_bits, m_of_n", [(1, 1), (10, 20)])
-def test_sampler_matches_full_chain_in_distribution(k_bits, m_of_n, hypothesis):
-    config = cfg(kind="pmd", snr_grid_db=[-12.0], curves=[{"k_bits": k_bits, "m_of_n": m_of_n}],
-                 threshold_mode="est_sigma")
+def _assert_sampler_matches_full_chain(config, hypothesis, amp, seed):
+    """KS of the sampler's chunks against frames through the full chain, one scalar a trial."""
     sc = _Scenario(config, config.curves[0])
-    amp = amplitude_for_snr(-12.0, config.n_len, config.noise_var, k_bits)
-    names = ["c[0]", "mth", "est"] + (["soft[0]"] if hypothesis else [])
+    m_of_n = sc.curve.m_of_n
 
     def scalars(c, soft, est):
         return {"c[0]": c[..., 0], "mth": np.sort(c, axis=-1)[..., -m_of_n],
                 "soft[0]": soft[..., 0], "est": est}
 
     sampled = [scalars(ch.c, ch.soft, ch.est)
-               for ch in (sc.chunk(chunk_rng(5, 0, 0, hypothesis, q), hypothesis, amp, 256)
+               for ch in (sc.chunk(chunk_rng(seed, 0, 0, hypothesis, q), hypothesis, amp, 256)
                           for q in range(24))]
     oracle = []
     for t in range(3000):
-        rng = np.random.default_rng(np.random.SeedSequence((6, hypothesis, t)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed + 1, hypothesis, t)))
         if hypothesis:
             c, soft, _, est = full_chain_h1(sc, rng, amp)
         else:
-            (c, est), soft = full_chain_h0(sc, rng), np.zeros(k_bits)
+            c, soft, est = full_chain_h0(sc, rng)
         oracle.append(scalars(c, soft, est))
     # one scalar per trial and statistic: pooling the correlated pairs of a
     # trial would make the test reject too often
-    for name in names:
+    for name in oracle[0]:
         p_value = ks_2samp(np.concatenate([s[name] for s in sampled]),
                            [o[name] for o in oracle]).pvalue
         assert p_value > 1e-3, f"{name}: KS p = {p_value:.2g}"
+
+
+@pytest.mark.parametrize("hypothesis", [0, 1])
+@pytest.mark.parametrize("k_bits, m_of_n", [(1, 1), (10, 20)])
+def test_sampler_matches_full_chain_in_distribution(k_bits, m_of_n, hypothesis):
+    config = cfg(kind="pmd", snr_grid_db=[-12.0], curves=[{"k_bits": k_bits, "m_of_n": m_of_n}],
+                 threshold_mode="est_sigma")
+    amp = amplitude_for_snr(-12.0, config.n_len, config.noise_var, k_bits)
+    _assert_sampler_matches_full_chain(config, hypothesis, amp, seed=5)
+
+
+@pytest.mark.parametrize("k_bits, l_taps, m_of_n", [(10, 40, 20), (10, 4, 20), (3, 1, 2)])
+def test_noise_only_gram_matches_full_chain_in_distribution(k_bits, l_taps, m_of_n):
+    # noise-only chunks are drawn as the LQ factor of the windows; with L < K + 1
+    # (the last two cases) it is a trapezoid of rank L
+    config = cfg(kind="pfa", l_taps=l_taps, noise_var=2.5,
+                 curves=[{"k_bits": k_bits, "m_of_n": m_of_n}])
+    _assert_sampler_matches_full_chain(config, 0, 0.0, seed=7)
 
 
 # ------------------------------------------------------------- experiments ----
@@ -329,6 +343,22 @@ def test_results_identical_across_worker_counts():
     assert run_experiment(c2, jobs=1).to_csv_text() == run_experiment(c2, jobs=5).to_csv_text()
 
 
+@pytest.mark.parametrize("kind", ["pmd", "roc"])
+def test_one_pool_runs_every_point_of_every_curve(kind):
+    # two curves of different (K, M) and 3 SNR points of 700 trials, three chunks each, the
+    # last one short: a run submits all of them to one pool, whatever the worker count
+    common = dict(kind=kind, snr_grid_db=[-13.0, -12.0, -11.0], num_trials=700, master_seed=21,
+                  roc_pfa_grid=[1e-2, 1e-1])
+    both = cfg(**common, curves=[{"k_bits": 1, "m_of_n": 1}, {"k_bits": 10, "m_of_n": 20}])
+    texts = [run_experiment(both, jobs=jobs).to_csv_text() for jobs in (1, 2, 3)]
+    assert texts[0] == texts[1] == texts[2]
+    # the first curve's chunks draw the streams of a run of that curve alone, and its
+    # reducer must hold its own detector, not the last curve's
+    alone = run_experiment(cfg(**common, curves=[{"k_bits": 1, "m_of_n": 1}])).to_csv_text()
+    first = [line for line in texts[0].splitlines()[1:] if line.split(",")[3:5] == ["1", "1"]]
+    assert first == alone.splitlines()[1:]
+
+
 def test_est_sigma_threshold_mode_tracks_target():
     c = cfg(kind="pfa", target_pfa=0.05, num_trials=20_000, master_seed=13,
             threshold_mode="est_sigma")
@@ -346,10 +376,14 @@ def test_run_dist_h0_matches_analytic_and_h1_offset():
     c = cfg(kind="dist", snr_grid_db=[0.0], num_trials=20_000, master_seed=4,
             dist_bins=40)
     res = run_experiment(c)
-    samples = res.extras[(1, 0.0)]
-    ks = kstest(samples["h0"], lambda x: erlang_mixture_cdf(40, 1.0, x))
+    # the H0 samples of the run: its noise-only point (curve 0, SNR point 0, hypothesis 0)
+    sc = _Scenario(c, c.curves[0])
+    h0 = np.concatenate([sc.chunk(chunk_rng(4, 0, 0, 0, q), 0, 0.0, min(256, 20_000 - 256 * q)).c
+                         for q in range(-(-20_000 // 256))]).ravel()
+    ks = kstest(h0, lambda x: erlang_mixture_cdf(40, 1.0, x))
     assert ks.pvalue > 0.01
     metrics = {r.metric: r.value for r in res.rows}
+    assert metrics["h0_c_mean"] == float(h0.mean())  # the run drew these very samples
     amp2 = metrics["expected_h1_offset"]
     assert amp2 == pytest.approx(amplitude_for_snr(0.0, 1024, 1.0, 1) ** 2, rel=1e-12)
     # at high SNR the histogram separation approaches the analytic offset
