@@ -11,8 +11,8 @@ entry points.
 
 The public names below are importable from the package itself. Each is
 loaded from its submodule on first use (PEP 562), so a process that only
-designs detectors never loads the experiment engine, its thread pool or
-hashlib.
+designs detectors never loads the experiment engine, its thread pool,
+hashlib or numpy.
 """
 
 from importlib import import_module

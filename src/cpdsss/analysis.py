@@ -19,7 +19,9 @@ z = 2x/sigma^2,
 Every term is positive, so S is evaluated in log space to full relative
 accuracy at any depth, and thresholds solve log S = log p0 by Newton's
 method. The M-out-of-n false-alarm combinatorics use the (exact)
-binomial tail, equal to a regularized incomplete beta function.
+binomial tail, equal to a regularized incomplete beta function. This
+design path needs the math module only; the array-valued density and
+Bessel functions load numpy when they are called.
 
 The distribution depends on x only through x/sigma^2, so a threshold
 solved at one noise variance rescales linearly to any other - which is
@@ -29,11 +31,13 @@ how estimated-noise thresholds are applied per frame without re-solving.
 from __future__ import annotations
 
 import math
+import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, expm1, inf, lgamma, log, pi, sqrt
-
-import numpy as np
+from itertools import accumulate
+from math import comb, exp, expm1, fsum, inf, isnan, lgamma, log, log1p, pi, sqrt
+from operator import mul
 
 from .errors import NumericalError
 
@@ -50,7 +54,15 @@ __all__ = [
     "occupancy_fraction",
     "processing_gain_db",
     "interference_rise_db",
+    "THRESHOLD_TABLE_COLUMNS",
+    "write_threshold_table",
 ]
+
+THRESHOLD_TABLE_COLUMNS = ["L", "sigma2", "K", "M", "n", "p0", "eta", "target_pfa"]
+
+# Tail-sum terms this far below the largest, in log, are dropped: for L <= 4095
+# their total is below one ulp of the sum, and exp of them only costs time.
+_LOG_SKIP = 50.0
 
 
 @lru_cache(maxsize=128)
@@ -61,8 +73,10 @@ def _log_half_order_coeffs(a: int) -> tuple[float, ...]:
     )
 
 
-def _log_bessel_k_half(a: int, x: np.ndarray) -> np.ndarray:
+def _log_bessel_k_half(a: int, x):
     """log K_{a+1/2}(x), vectorized over a 1-D array of x > 0."""
+    import numpy as np  # the array paths load numpy; design and the tail sum do not
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     coeffs = np.asarray(_log_half_order_coeffs(a))
     k = np.arange(a + 1)
@@ -79,12 +93,14 @@ def bessel_k_half(order_minus_half: int, x: float) -> float:
     K_{a+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (a+k)! / (k!(a-k)!) (2x)^{-k},
     evaluated in log space so large orders stay accurate at small arguments.
     """
+    import numpy as np
+
     a = int(order_minus_half)
     if a < 0:
         raise ValueError("order_minus_half must be >= 0")
-    if x <= 0:
+    if not x > 0:
         raise ValueError(f"argument must be positive, got {x}")
-    return float(np.exp(_log_bessel_k_half(a, np.asarray([x])))[0])
+    return float(np.exp(_log_bessel_k_half(a, x))[0])
 
 
 @dataclass(frozen=True)
@@ -117,53 +133,76 @@ class H0Pdf:
         return 2.0 * exp(lgamma(ll - 0.5) - lgamma(ll)) / (self.noise_var * sqrt(pi))
 
 
-def h0_pdf(pdf: H0Pdf, x) -> np.ndarray | float:
-    """Evaluate the noise-only density at x >= 0 (scalar or array)."""
+def h0_pdf(pdf: H0Pdf, x):
+    """Evaluate the noise-only density at x >= 0 (scalar or array); it is 0 at +inf."""
+    import numpy as np
+
     x_arr = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x_arr)):
+        raise ValueError("density is undefined at NaN")
     if np.any(x_arr < 0):
         raise ValueError("density is defined for x >= 0")
     ll, s2 = pdf.l_taps, pdf.noise_var
-    out = np.full(x_arr.shape, pdf._density_at_zero, dtype=float)
-    big = x_arr >= 1e-8 * s2
+    with np.errstate(over="ignore"):  # an x that overflows z is past every tail
+        z = 2.0 * x_arr / s2
+    out = np.where(z == inf, 0.0, pdf._density_at_zero)
+    big = (x_arr >= 1e-8 * s2) & (z < inf)
     if np.any(big):
-        z = 2.0 * x_arr[big] / s2
-        logf = (ll - 0.5) * np.log(z) + _log_bessel_k_half(ll - 1, z) - pdf._log_norm
+        logf = (ll - 0.5) * np.log(z[big]) + _log_bessel_k_half(ll - 1, z[big]) - pdf._log_norm
         out[big] = np.exp(logf)
     if np.isscalar(x) or x_arr.shape == ():
         return float(out)
     return out
 
 
+def _logaddexp(x: float, y: float) -> float:
+    d = x - y
+    return x + log1p(exp(-d)) if d > 0 else y + log1p(exp(d))
+
+
 @lru_cache(maxsize=128)
-def _tail_coeffs(l_taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of the tail sum for j = 0..L-1: (j, log(W_j / j!), w_{L-1-j} / W_j)."""
-    k = np.arange(l_taps)
-    log_w = np.array(
-        [lgamma(l_taps + i) - lgamma(i + 1) - lgamma(l_taps) for i in range(l_taps)]
-    ) - (l_taps - 1 + k) * log(2.0)
-    log_big_w = np.logaddexp.accumulate(log_w)[::-1]
-    log_fact = np.array([lgamma(i + 1) for i in range(l_taps)])
-    out = (k.astype(float), log_big_w - log_fact, np.exp(log_w[::-1] - log_big_w))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _tail_coeffs(l_taps: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Constants of the tail sum for j = 0..L-1: (log(W_j / j!), w_{L-1-j} / W_j)."""
+    log_w = [
+        lgamma(l_taps + i) - lgamma(i + 1) - lgamma(l_taps) - (l_taps - 1 + i) * log(2.0)
+        for i in range(l_taps)
+    ]
+    log_big_w = list(accumulate(log_w, _logaddexp))[::-1]
+    log_a = tuple(b - lgamma(j + 1) for j, b in enumerate(log_big_w))
+    ratio = tuple(exp(w - b) for w, b in zip(reversed(log_w), log_big_w))
+    return log_a, ratio
 
 
 def _log_sf(l_taps: int, z: float) -> tuple[float, float]:
-    """log S and d(log S)/dz at z = 2x/sigma^2 > 0."""
-    j, log_a, ratio = _tail_coeffs(l_taps)
-    t = log_a + j * log(z)
-    m = t.max()
-    e = np.exp(t - m)
-    total = e.sum()
-    return float(m + log(total) - z), -float(ratio @ e / total)
+    """log S and d(log S)/dz at z = 2x/sigma^2 > 0.
+
+    The log terms t_j = log(W_j z^j / j!) are concave in j (W_j is a tail of
+    a log-concave weight sequence), so the terms kept, those within
+    ``_LOG_SKIP`` of the largest, are one run around it, found by bisection.
+    """
+    log_a, ratio = _tail_coeffs(l_taps)
+    lz = log(z)
+    t = [a + j * lz for j, a in enumerate(log_a)]
+    m = max(t)
+    top = t.index(m)
+    cut = m - _LOG_SKIP
+    lo = bisect_right(t, cut, 0, top)
+    hi = bisect_left(t, -cut, top, l_taps, key=float.__neg__)
+    e = [exp(x - m) for x in t[lo:hi]]
+    total = fsum(e)
+    return m + log(total) - z, -fsum(map(mul, ratio[lo:hi], e)) / total
 
 
 def h0_cdf(pdf: H0Pdf, x: float) -> float:
-    """P(statistic <= x), the complement of the closed-form tail sum."""
+    """P(statistic <= x), the complement of the closed-form tail sum; 1 at +inf."""
+    if isnan(x):
+        raise ValueError("CDF is undefined at NaN")
     if x <= 0:
         return 0.0
-    return -expm1(_log_sf(pdf.l_taps, 2.0 * x / pdf.noise_var)[0])
+    z = 2.0 * x / pdf.noise_var
+    if z == inf:
+        return 1.0
+    return -expm1(_log_sf(pdf.l_taps, z)[0])
 
 
 def solve_threshold(pdf: H0Pdf, p0: float) -> float:
@@ -317,7 +356,13 @@ def occupancy_fraction(num_ues: int, sr_rate_per_ue: float, symbol_rate: float) 
         raise ValueError("counts and rates must be nonnegative")
     if symbol_rate <= 0:
         raise ValueError("symbol_rate must be positive")
-    return min(1.0, num_ues * sr_rate_per_ue / symbol_rate)
+    occupancy = num_ues * sr_rate_per_ue / symbol_rate
+    if isnan(occupancy):
+        raise ValueError(
+            f"occupancy is undefined for num_ues={num_ues}, "
+            f"sr_rate_per_ue={sr_rate_per_ue}, symbol_rate={symbol_rate}"
+        )
+    return min(1.0, occupancy)
 
 
 def processing_gain_db(n_len: int) -> float:
@@ -332,3 +377,34 @@ def interference_rise_db(occupancy: float, usr_to_noise_power_ratio: float) -> f
     if occupancy < 0 or usr_to_noise_power_ratio < 0:
         raise ValueError("inputs must be nonnegative")
     return 10.0 * math.log10(1.0 + occupancy * usr_to_noise_power_ratio)
+
+
+def write_threshold_table(path, entries: list[tuple[int, DetectorDesign]]) -> None:
+    """Write (K, design) rows as CSV with the documented column set, atomically.
+
+    Lines end in CSV's ``\\r\\n``, as ``csv.writer`` writes them.
+    """
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    rows = [THRESHOLD_TABLE_COLUMNS] + [
+        [d.l_taps, format(d.noise_var, ".12g"), k_bits, d.m_of_n, d.n_pairs,
+         format(d.p0, ".12g"), format(d.eta, ".12g"), format(d.target_pfa, ".12g")]
+        for k_bits, d in entries
+    ]
+    _atomic_write(path, "".join(",".join(map(str, row)) + "\r\n" for row in rows))
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` verbatim (no newline translation) through a renamed temp file."""
+    import tempfile  # only writers need it
+
+    d = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

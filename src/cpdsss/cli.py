@@ -7,14 +7,15 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
 import sys
 
-from .analysis import design_detector
+from .analysis import design_detector, write_threshold_table
 from .errors import ConfigError, NumericalError
-from .experiments import ExperimentConfig, run_experiment, write_sidecar, write_threshold_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,6 +120,9 @@ def _cmd_design_threshold(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # the experiment engine loads numpy; design-threshold never needs it
+    from .experiments import ExperimentConfig, run_experiment, write_sidecar
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -160,6 +164,11 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
+    # Freeze every object alive at exit, so that interpreter shutdown does not
+    # walk numpy's and the package's objects in its garbage collections.
+    # Unregistering first keeps it to one hook however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -47,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__ as _code_version
-from .analysis import DetectorDesign, design_detector
+from .analysis import _atomic_write, design_detector
 from .channel import ChannelProfile, ProfileKind, draw_taps
 from .errors import ConfigError
 from .rx import detect
@@ -64,8 +63,6 @@ __all__ = [
     "ResultRow",
     "ExperimentResult",
     "CSV_COLUMNS",
-    "THRESHOLD_TABLE_COLUMNS",
-    "write_threshold_table",
     "wilson_interval",
     "chunk_rng",
     "trial_rng",
@@ -86,8 +83,6 @@ CSV_COLUMNS = [
     "trials",
     "seed",
 ]
-
-THRESHOLD_TABLE_COLUMNS = ["L", "sigma2", "K", "M", "n", "p0", "eta", "target_pfa"]
 
 _CHUNK = 256  # fixed chunk size; must not depend on the worker count
 
@@ -390,35 +385,6 @@ def write_sidecar(config: ExperimentConfig, derived: dict, out_dir) -> str:
     }
     _atomic_write(sidecar, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return sidecar
-
-
-def write_threshold_table(path, entries: list[tuple[int, DetectorDesign]]) -> None:
-    """Write (K, design) rows as CSV with the documented column set, atomically.
-
-    Lines end in CSV's ``\\r\\n``, as ``csv.writer`` writes them.
-    """
-    path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    rows = [THRESHOLD_TABLE_COLUMNS] + [
-        [d.l_taps, format(d.noise_var, ".12g"), k_bits, d.m_of_n, d.n_pairs,
-         format(d.p0, ".12g"), format(d.eta, ".12g"), format(d.target_pfa, ".12g")]
-        for k_bits, d in entries
-    ]
-    _atomic_write(path, "".join(",".join(map(str, row)) + "\r\n" for row in rows))
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` verbatim (no newline translation) through a renamed temp file."""
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):

@@ -3,14 +3,16 @@
 Everything here is deliberately written on a different arithmetic path
 from the package code: dense matrix products instead of FFTs, scipy's
 incomplete gamma functions instead of the package's log-space tail sum,
-explicit loops instead of vectorized kernels, and whole frames through
-the public tx -> channel -> rx functions instead of the experiments'
-despread-domain sampler.
+numpy reductions over every term of that sum instead of the package's
+pruned ``math.fsum`` sums, explicit loops instead of vectorized kernels,
+and whole frames through the public tx -> channel -> rx functions
+instead of the experiments' despread-domain sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, lgamma, log, pi
 
 import numpy as np
@@ -108,6 +110,32 @@ def erlang_mixture_sf(l_taps: int, noise_var: float, x) -> np.ndarray:
         log_w = lgamma(a + k + 1) - lgamma(k + 1) - lgamma(a + 1) - (a + k) * log(2.0)
         out = out + exp(log_w) * gammaincc(l_taps - k, z)
     return out
+
+
+@lru_cache(maxsize=None)
+def _numpy_tail_coeffs(l_taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k = np.arange(l_taps)
+    log_w = np.array(
+        [lgamma(l_taps + i) - lgamma(i + 1) - lgamma(l_taps) for i in range(l_taps)]
+    ) - (l_taps - 1 + k) * log(2.0)
+    log_big_w = np.logaddexp.accumulate(log_w)[::-1]
+    log_fact = np.array([lgamma(i + 1) for i in range(l_taps)])
+    return k.astype(float), log_big_w - log_fact, np.exp(log_w[::-1] - log_big_w)
+
+
+def numpy_log_sf(l_taps: int, z: float) -> tuple[float, float]:
+    """The package's log S and d(log S)/dz as numpy arrays compute them: every term
+    of the tail sum is kept, none skipped, and both sums are numpy reductions.
+
+    It has the signature of ``cpdsss.analysis._log_sf``, so a test can put it
+    in that function's place and solve the same design on this arithmetic.
+    """
+    j, log_a, ratio = _numpy_tail_coeffs(l_taps)
+    t = log_a + j * log(z)
+    m = t.max()
+    e = np.exp(t - m)
+    total = e.sum()
+    return float(m + log(total) - z), -float(ratio @ e / total)
 
 
 def cf_inversion_oracle(l_taps: int, noise_var: float, x_grid, fold: bool = True) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,10 +16,13 @@ from helpers import (
     cf_inversion_oracle,
     erlang_mixture_cdf,
     erlang_mixture_sf,
+    numpy_log_sf,
     sample_h0_statistic,
 )
 
+from cpdsss import analysis
 from cpdsss.analysis import (
+    THRESHOLD_TABLE_COLUMNS,
     H0Pdf,
     bessel_k_half,
     design_detector,
@@ -29,9 +34,9 @@ from cpdsss.analysis import (
     pfa_from_p0,
     processing_gain_db,
     solve_threshold,
+    write_threshold_table,
 )
 from cpdsss.errors import NumericalError
-from cpdsss.experiments import THRESHOLD_TABLE_COLUMNS, write_threshold_table
 
 # ---------------------------------------------------------------- Bessel ----
 
@@ -125,6 +130,24 @@ def test_h0_pdf_rejects_negative():
             H0Pdf(1, bad)
 
 
+def test_h0_pdf_rejects_nan():
+    # NaN once fell through every mask and read as the density at zero
+    with pytest.raises(ValueError, match="NaN"):
+        h0_pdf(H0Pdf(4, 1.0), math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        h0_pdf(H0Pdf(4, 1.0), np.array([1.0, math.nan]))
+
+
+def test_h0_pdf_is_zero_at_infinity():
+    pdf = H0Pdf(4, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert h0_pdf(pdf, math.inf) == 0.0
+        got = h0_pdf(pdf, np.array([0.0, 1.0, math.inf, 1e308]))
+    assert got[0] == h0_pdf(pdf, 0.0) and got[1] == h0_pdf(pdf, 1.0)
+    assert got[2] == 0.0 and got[3] == 0.0
+
+
 # ------------------------------------------------------------------- CDF ----
 
 def test_h0_cdf_l1_analytic():
@@ -141,6 +164,19 @@ def test_h0_cdf_matches_mixture_oracle(l_taps, s2):
     xs = np.linspace(0.05, 3.0, 12) * scale / 2
     for x in xs:
         assert abs(h0_cdf(pdf, float(x)) - float(erlang_mixture_cdf(l_taps, s2, x))) < 1e-8
+
+
+def test_h0_cdf_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        h0_cdf(H0Pdf(4, 1.0), math.nan)
+
+
+def test_h0_cdf_is_one_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # it once returned nan with a RuntimeWarning
+        for x in (math.inf, 1e308):
+            assert h0_cdf(H0Pdf(4, 1.0), x) == 1.0
+    assert h0_cdf(H0Pdf(4, 1.0), -math.inf) == 0.0
 
 
 def test_h0_cdf_monotone():
@@ -175,7 +211,7 @@ DEEP_P0 = [1e-3, 1e-9, 1e-13, 1e-15, 1e-30]
 
 
 @pytest.mark.parametrize("p0", DEEP_P0)
-@pytest.mark.parametrize("l_taps", [1, 5, 40])
+@pytest.mark.parametrize("l_taps", [1, 5, 40, 400, 4095])
 def test_solve_threshold_deep_tail_matches_sf_oracle(l_taps, p0):
     eta = solve_threshold(H0Pdf(l_taps, 1.0), p0)
     tail = float(erlang_mixture_sf(l_taps, 1.0, eta))
@@ -187,6 +223,34 @@ def test_solve_threshold_l1_deep_tail_analytic(p0):
     eta = solve_threshold(H0Pdf(1, 1.0), p0)
     ref = math.log(1.0 / p0) / 2.0
     assert abs(eta / ref - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("l_taps", [1, 2, 5, 40, 400, 4095])
+def test_log_sf_matches_numpy_oracle(l_taps):
+    # log S to 1e-13, relative where |log S| > 1 and absolute below (an absolute
+    # error in log S is a relative error in S); the slope to 1e-12 relative
+    for z in np.geomspace(1e-6, 5000.0, 120):
+        got_log_s, got_slope = analysis._log_sf(l_taps, float(z))
+        ref_log_s, ref_slope = numpy_log_sf(l_taps, float(z))
+        assert abs(got_log_s - ref_log_s) <= 1e-13 * max(1.0, abs(ref_log_s)), (l_taps, z)
+        assert abs(got_slope / ref_slope - 1.0) <= 1e-12, (l_taps, z)
+
+
+# design_grid's 81 rows, plus deep targets that the M = 1 inversions reach
+GRID_DESIGNS = list(itertools.product(
+    (1e-3, 1e-6, 1e-9), ((1, 1), (10, 1), (10, 20)), (1, 5, 40), (0.5, 1.0, 2.0),
+)) + list(itertools.product(
+    (1e-15, 1e-30, 1e-100, 1e-200), ((1, 1), (10, 1)), (1, 5, 40), (1.0,),
+))
+
+
+def test_designs_match_numpy_tail(monkeypatch):
+    got = [design_detector(pfa, k, m, l_taps, nv) for pfa, (k, m), l_taps, nv in GRID_DESIGNS]
+    monkeypatch.setattr(analysis, "_log_sf", numpy_log_sf)
+    for d, (pfa, (k, m), l_taps, nv) in zip(got, GRID_DESIGNS):
+        ref = design_detector(pfa, k, m, l_taps, nv)
+        assert d.p0 == ref.p0
+        assert abs(d.eta - ref.eta) <= 2 * math.ulp(ref.eta), (d, ref)
 
 
 def test_solve_threshold_domain():
@@ -430,6 +494,13 @@ def test_occupancy_fraction_values():
         occupancy_fraction(10, 500, 0)
     with pytest.raises(ValueError):
         occupancy_fraction(-1, 500, 30000)
+
+
+def test_occupancy_fraction_rejects_nan():
+    # min(1.0, nan) is 1.0, so a NaN rate once read as a full channel
+    for args in ((1, math.nan, 1.0), (1, 1.0, math.nan), (0, math.inf, 1.0)):
+        with pytest.raises(ValueError, match="undefined"):
+            occupancy_fraction(*args)
 
 
 def test_processing_gain():

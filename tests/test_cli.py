@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -264,21 +265,56 @@ def test_simulate_bytes_identical_across_jobs(tmp_path, name):
         assert hashlib.sha256(csv_bytes).hexdigest() == CSV_SHA256[name]
 
 
-def test_imports_stay_light():
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          **kwargs)
+
+
+def test_imports_stay_light(tmp_path):
     code = (
         "import sys, cpdsss.analysis; "
         "print(sorted(m for m in sys.modules if m.startswith('cpdsss.'))); "
+        "from cpdsss.analysis import H0Pdf, design_detector, h0_cdf; "
+        "design_detector(1e-3, 10, 20, 40, 1.0); h0_cdf(H0Pdf(40, 1.0), 10.0); "
+        "print('numpy' in sys.modules); "
         "import cpdsss, cpdsss.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    design_only, scipy_modules = proc.stdout.splitlines()
+    proc = run_python(["-c", code], check=True)
+    design_only, numpy_loaded, scipy_modules = proc.stdout.splitlines()
     # the package loads a submodule only when one of its names is used
     assert design_only == "['cpdsss._version', 'cpdsss.analysis', 'cpdsss.errors']"
+    assert numpy_loaded == "False"  # the closed-form design is math-only
     assert scipy_modules == "[]"
+
+    code = (
+        "import sys; from cpdsss.cli import main; "
+        f"rc = main(['design-threshold', '--k-bits', '1,10', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy' in sys.modules)"
+    )
+    proc = run_python(["-c", code], check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert len(read_rows(tmp_path / "thresholds.csv")) == 2
+
+
+def test_simulate_subprocess_writes_outputs(tmp_path):
+    # the CLI process freezes the GC at exit; its outputs must not depend on that
+    config = write_config(tmp_path / "c.json", num_trials=300)
+    out = tmp_path / "o"
+    proc = run_python(["-m", "cpdsss.cli", "simulate", "--config", str(config),
+                       "--out", str(out), "--jobs", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["cli_demo.config.json", "cli_demo.csv"]
+    assert read_rows(out / "cli_demo.csv")[0]["trials"] == "300"
+
+
+def test_main_does_not_freeze_gc_in_process(tmp_path):
+    assert cli.main(["design-threshold", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0  # only the exit hook freezes
 
 
 def test_public_names_resolve_to_submodule_exports():
@@ -300,7 +336,7 @@ def test_simulate_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys
     def boom(config, jobs):
         raise NumericalError("synthetic")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(experiments, "run_experiment", boom)
     rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
@@ -312,7 +348,7 @@ def test_simulate_internal_value_error_is_not_a_config_error(tmp_path, monkeypat
     def boom(config, jobs):
         raise ValueError("synthetic internal fault")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(experiments, "run_experiment", boom)
     with pytest.raises(ValueError, match="synthetic internal fault"):
         cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)])
 
