@@ -23,8 +23,7 @@ _EXPORTS = {
     "zc": ("ZcBasis", "generate_zc", "cyclic_shift"),
     "tx": ("CodeAssignment", "allocate_codes", "build_message", "add_cp", "remove_cp"),
     "channel": (
-        "ProfileKind", "ChannelProfile", "ChannelRealization", "NoiseSpec",
-        "tdl_a_profile", "exp_pdp_profile", "flat_profile",
+        "ProfileKind", "ChannelConfig", "NoiseSpec",
         "draw_taps", "draw_channel", "apply_channel", "superpose",
     ),
     "rx": (
@@ -37,7 +36,7 @@ _EXPORTS = {
         "design_detector", "occupancy_fraction", "processing_gain_db", "interference_rise_db",
     ),
     "experiments": (
-        "ExperimentKind", "ThresholdMode", "CurveConfig", "ChannelConfig",
+        "ExperimentKind", "ThresholdMode", "CurveConfig",
         "ExperimentConfig", "ExperimentResult", "run_experiment",
     ),
     "errors": (

@@ -100,6 +100,8 @@ def bessel_k_half(order_minus_half: int, x: float) -> float:
         raise ValueError("order_minus_half must be >= 0")
     if not x > 0:
         raise ValueError(f"argument must be positive, got {x}")
+    if x == inf:
+        return 0.0
     return float(np.exp(_log_bessel_k_half(a, x))[0])
 
 
@@ -374,9 +376,14 @@ def processing_gain_db(n_len: int) -> float:
 
 def interference_rise_db(occupancy: float, usr_to_noise_power_ratio: float) -> float:
     """Average rise of the interference floor from underlay traffic, in dB."""
-    if occupancy < 0 or usr_to_noise_power_ratio < 0:
-        raise ValueError("inputs must be nonnegative")
-    return 10.0 * math.log10(1.0 + occupancy * usr_to_noise_power_ratio)
+    rise = occupancy * usr_to_noise_power_ratio
+    # the comparisons are false for NaN, and the product is NaN for 0 x inf
+    if not (occupancy >= 0 and usr_to_noise_power_ratio >= 0 and rise >= 0):
+        raise ValueError(
+            f"inputs must be nonnegative with a defined product, got occupancy={occupancy}, "
+            f"usr_to_noise_power_ratio={usr_to_noise_power_ratio}"
+        )
+    return 10.0 * math.log10(1.0 + rise)
 
 
 def write_threshold_table(path, entries: list[tuple[int, DetectorDesign]]) -> None:

@@ -24,20 +24,20 @@ wideband traffic sharing the spectrum.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
+from math import isfinite
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "ProfileKind",
-    "ChannelProfile",
-    "ChannelRealization",
+    "ChannelConfig",
     "NoiseSpec",
-    "tdl_a_profile",
-    "exp_pdp_profile",
-    "flat_profile",
     "load_tdl_a_table",
     "draw_taps",
     "draw_channel",
@@ -74,87 +74,66 @@ def load_tdl_a_table() -> tuple[np.ndarray, np.ndarray, str]:
 
 
 @dataclass(frozen=True)
-class ChannelProfile:
-    """A power delay profile quantized to the sample grid.
+class ChannelConfig:
+    """The multipath channel: profile kind, RMS delay spread, sample rate and tap bound.
 
     ``pdp`` holds the per-sample tap powers (summing to 1) after delay
-    scaling, grid rounding and truncation to ``max_taps``.
+    scaling, grid rounding and truncation to ``max_taps``; it is built on
+    first use and is read-only.
     """
 
-    kind: ProfileKind
-    rms_delay_spread: float
-    sample_rate: float
-    max_taps: int
+    kind: str = "tdl_a"
+    rms_delay_spread_ns: float = 300.0
+    sample_rate_hz: float = 30.72e6
+    max_taps: int = 128
     normalize_each_draw: bool = True
-    pdp: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.max_taps < 1:
-            raise ValueError("max_taps must be >= 1")
-        if self.pdp is None:
-            object.__setattr__(self, "pdp", self._build_pdp())
-        self.pdp.setflags(write=False)
+        if self.kind not in {k.value for k in ProfileKind}:
+            raise ConfigError(f"unknown channel kind: {self.kind!r}")
+        if not isfinite(self.rms_delay_spread_ns):
+            raise ConfigError(
+                f"channel.rms_delay_spread_ns must be finite, got {self.rms_delay_spread_ns}"
+            )
+        if self.kind != ProfileKind.FLAT.value and not self.rms_delay_spread_ns > 0:
+            raise ConfigError(
+                f"channel.rms_delay_spread_ns must be positive for kind {self.kind!r}, "
+                f"got {self.rms_delay_spread_ns}"
+            )
+        if not (isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ConfigError(
+                f"channel.sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
+            )
+        # the PDP, the tap draws and _Scenario's frame-head arrays (up to max_taps x (K+1)L
+        # values) grow with max_taps after the sidecar is written; 1024 taps span 33 us at
+        # 30.72 MHz, over 100 times the default 300 ns rms delay spread
+        if not 1 <= self.max_taps <= 1024:
+            raise ConfigError(f"channel.max_taps must be in [1, 1024], got {self.max_taps}")
 
-    def _build_pdp(self) -> np.ndarray:
-        if self.kind is ProfileKind.FLAT:
-            return np.ones(1)
-        if self.kind is ProfileKind.EXP_PDP:
-            if self.rms_delay_spread <= 0:
-                raise ValueError("rms_delay_spread must be positive")
-            beta = self.rms_delay_spread * self.sample_rate
+    @cached_property
+    def pdp(self) -> np.ndarray:
+        rms = self.rms_delay_spread_ns * 1e-9
+        if self.kind == ProfileKind.FLAT.value:
+            pdp = np.ones(1)
+        elif self.kind == ProfileKind.EXP_PDP.value:
+            beta = rms * self.sample_rate_hz
             k = np.arange(self.max_taps)
             pdp = np.exp(-k / beta)
-        elif self.kind is ProfileKind.TDL_A:
-            if self.rms_delay_spread <= 0:
-                raise ValueError("rms_delay_spread must be positive")
+        else:
             delays, powers_db, _ = load_tdl_a_table()
-            idx = np.rint(delays * self.rms_delay_spread * self.sample_rate).astype(int)
+            idx = np.rint(delays * rms * self.sample_rate_hz).astype(int)
             lin = 10.0 ** (powers_db / 10.0)
             # only taps inside max_taps are allocated; minlength keeps trailing empty taps
             keep = idx < self.max_taps
             width = min(int(idx.max()) + 1, self.max_taps)
             pdp = np.bincount(idx[keep], lin[keep], minlength=width)
-        else:
-            raise ValueError(f"unknown profile kind: {self.kind!r}")
-        return pdp / pdp.sum()
+        pdp = pdp / pdp.sum()
+        pdp.setflags(write=False)
+        return pdp
 
-
-def tdl_a_profile(
-    rms_delay_spread: float = 300e-9,
-    sample_rate: float = 30.72e6,
-    max_taps: int = 128,
-    normalize_each_draw: bool = True,
-) -> ChannelProfile:
-    return ChannelProfile(ProfileKind.TDL_A, rms_delay_spread, sample_rate, max_taps,
-                          normalize_each_draw)
-
-
-def exp_pdp_profile(
-    rms_delay_spread: float = 300e-9,
-    sample_rate: float = 30.72e6,
-    max_taps: int = 72,
-    normalize_each_draw: bool = True,
-) -> ChannelProfile:
-    return ChannelProfile(ProfileKind.EXP_PDP, rms_delay_spread, sample_rate, max_taps,
-                          normalize_each_draw)
-
-
-def flat_profile(normalize_each_draw: bool = False) -> ChannelProfile:
-    """Single Rayleigh tap (unit mean power; Rayleigh fading unless normalized)."""
-    return ChannelProfile(ProfileKind.FLAT, 0.0, 1.0, 1, normalize_each_draw)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One impulse-response draw (taps on the sample grid)."""
-
-    taps: np.ndarray
-    user_id: int = 0
-
-    def __post_init__(self):
-        self.taps.setflags(write=False)
+    def to_profile(self) -> ChannelConfig:
+        """The config itself, which carries the profile; kept for older callers."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -169,42 +148,39 @@ class NoiseSpec:
 
 
 def draw_taps(
-    profile: ChannelProfile, rng: np.random.Generator, size: int | None = None
+    channel: ChannelConfig, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
     """Tap vectors of ``size`` independent draws, stacked as rows (one vector if None).
 
-    The real parts of every draw come first, then the imaginary parts, so
-    ``size=None`` consumes ``rng`` exactly like :func:`draw_channel`.
+    The real parts of every draw come first, then the imaginary parts.
     """
-    pdp = profile.pdp
+    pdp = channel.pdp
     shape = pdp.shape if size is None else (size, len(pdp))
     scale = np.sqrt(pdp / 2.0)
     taps = scale * rng.standard_normal(shape) + 1j * (scale * rng.standard_normal(shape))
-    if profile.normalize_each_draw:
+    if channel.normalize_each_draw:
         norm = np.sqrt(np.sum(taps.real**2 + taps.imag**2, axis=-1, keepdims=True))
         taps = taps / np.where(norm > 0, norm, 1.0)
     return taps
 
 
-def draw_channel(
-    profile: ChannelProfile, rng: np.random.Generator, user_id: int = 0
-) -> ChannelRealization:
-    """Draw one channel realization from the profile using ``rng``.
+def draw_channel(channel: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+    """One impulse response (taps on the sample grid) drawn from ``rng``.
 
     Deterministic given the generator state, so distinct RNG streams may
     drive independent Monte Carlo workers.
     """
-    return ChannelRealization(taps=draw_taps(profile, rng), user_id=user_id)
+    return draw_taps(channel, rng)
 
 
-def apply_channel(frame_samples: np.ndarray, h: ChannelRealization) -> np.ndarray:
-    """Linear convolution with the impulse response, truncated to the frame span.
+def apply_channel(frame_samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Linear convolution with the impulse response ``taps``, truncated to the frame span.
 
     With a cyclic prefix at least as long as the impulse response, removing
     the CP afterwards yields exactly the circular convolution of the frame
     body with the taps.
     """
-    return np.convolve(frame_samples, h.taps)[: len(frame_samples)]
+    return np.convolve(frame_samples, taps)[: len(frame_samples)]
 
 
 def superpose(

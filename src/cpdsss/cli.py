@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run built-in numerical invariant checks")
     p_self.add_argument("--filter", default="", help="run only checks whose name contains this")
-    p_self.add_argument("--inject-failure", default="", help=argparse.SUPPRESS)
     return parser
 
 
@@ -151,7 +150,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_checks  # its quadrature check needs scipy; other commands do not
 
-    results = run_checks(args.filter, args.inject_failure)
+    results = run_checks(args.filter)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     summary = {

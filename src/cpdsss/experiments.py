@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__ as _code_version
 from .analysis import _atomic_write, design_detector
-from .channel import ChannelProfile, ProfileKind, draw_taps
+from .channel import ChannelConfig, draw_taps
 from .errors import ConfigError
 from .rx import detect
 from .tx import allocate_codes
@@ -111,46 +111,6 @@ class CurveConfig:
 
     k_bits: int = 1
     m_of_n: int = 1
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    kind: str = "tdl_a"
-    rms_delay_spread_ns: float = 300.0
-    sample_rate_hz: float = 30.72e6
-    max_taps: int = 128
-    normalize_each_draw: bool = True
-
-    def __post_init__(self):
-        if self.kind not in {k.value for k in ProfileKind}:
-            raise ConfigError(f"unknown channel kind: {self.kind!r}")
-        if not isfinite(self.rms_delay_spread_ns):
-            raise ConfigError(
-                f"channel.rms_delay_spread_ns must be finite, got {self.rms_delay_spread_ns}"
-            )
-        if self.kind != ProfileKind.FLAT.value and not self.rms_delay_spread_ns > 0:
-            raise ConfigError(
-                f"channel.rms_delay_spread_ns must be positive for kind {self.kind!r}, "
-                f"got {self.rms_delay_spread_ns}"
-            )
-        if not (isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ConfigError(
-                f"channel.sample_rate_hz must be finite and positive, got {self.sample_rate_hz}"
-            )
-        # the PDP, the tap draws and _Scenario's frame-head arrays (up to max_taps x (K+1)L
-        # values) grow with max_taps after the sidecar is written; 1024 taps span 33 us at
-        # 30.72 MHz, over 100 times the default 300 ns rms delay spread
-        if not 1 <= self.max_taps <= 1024:
-            raise ConfigError(f"channel.max_taps must be in [1, 1024], got {self.max_taps}")
-
-    def to_profile(self) -> ChannelProfile:
-        return ChannelProfile(
-            kind=ProfileKind(self.kind),
-            rms_delay_spread=self.rms_delay_spread_ns * 1e-9,
-            sample_rate=self.sample_rate_hz,
-            max_taps=self.max_taps,
-            normalize_each_draw=self.normalize_each_draw,
-        )
 
 
 _TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
@@ -495,10 +455,9 @@ class _Scenario:
         self.assign = allocate_codes(1, curve.k_bits, config.l_taps, n_len)[0]
         shifts = np.asarray(self.assign.shift_indices)
         self.win = (shifts[:, None] + np.arange(config.l_taps)[None, :]) % n_len
-        self.profile = config.channel.to_profile()
         self._pairs = np.triu_indices(len(shifts), 1)  # (i, j) of the statistics, i < j
 
-        seq, n_taps = self.basis.seq, len(self.profile.pdp)
+        seq, n_taps = self.basis.seq, len(config.channel.pdp)
         n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
         offset = (shifts[:, None] - shifts[None, :]) % n_len
         # Window j, sample r reads tap (o + r) mod N of code k, o = (i_j - i_k) mod N.
@@ -583,7 +542,7 @@ class _Scenario:
         if hypothesis:
             bits = rng.integers(0, 2, size=(size, self.curve.k_bits)) * 2.0 - 1.0
             coef = amplitude * np.concatenate((np.ones((size, 1)), bits), axis=1)
-            signal, energy = self.window_signal(coef, draw_taps(self.profile, rng, size))
+            signal, energy = self.window_signal(coef, draw_taps(self.config.channel, rng, size))
             outside = np.maximum(energy - _power(signal.reshape(size, width)), 0.0)
             x = rng.standard_normal((size, 2 * width))
             x *= sd  # in place: every fresh chunk-sized temporary costs page faults

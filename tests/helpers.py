@@ -229,7 +229,7 @@ def full_chain_h1(sc, rng: np.random.Generator, amplitude: float):
     cp_len = sc.config.cp_len
     bits = [1] + [int(b) for b in rng.choice([-1, 1], size=sc.curve.k_bits)]
     samples = add_cp(build_message(sc.basis, sc.assign, bits, amplitude), cp_len)
-    received = apply_channel(samples, draw_channel(sc.profile, rng))
+    received = apply_channel(samples, draw_channel(sc.config.channel, rng))
     y = remove_cp(superpose([received], NoiseSpec(sc.config.noise_var), rng), cp_len)
     ds = extract_user(despread_full(sc.basis, y), sc.assign)
     c, _, _ = pairwise_stats(ds.vectors)

@@ -78,6 +78,15 @@ def test_bessel_domain_errors():
         bessel_k_half(-1, 1.0)
 
 
+def test_bessel_k_half_is_zero_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (0, 3, 40):
+            assert bessel_k_half(a, math.inf) == 0.0
+    with pytest.raises(ValueError):
+        bessel_k_half(3, math.nan)
+
+
 def test_bessel_decreasing_in_x():
     xs = np.linspace(0.1, 20, 50)
     vals = [bessel_k_half(4, float(x)) for x in xs]
@@ -517,3 +526,11 @@ def test_interference_rise():
     assert 0.014 < got < 0.015
     with pytest.raises(ValueError):
         interference_rise_db(-0.1, 0.01)
+
+
+def test_interference_rise_rejects_nan():
+    for args in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            interference_rise_db(*args)
+    assert interference_rise_db(math.inf, 1.0) == math.inf
+    assert interference_rise_db(1.0, math.inf) == math.inf

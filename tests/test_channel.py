@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,29 +7,27 @@ import pytest
 from helpers import circular_convolve_oracle
 
 from cpdsss.channel import (
-    ChannelProfile,
-    ChannelRealization,
+    ChannelConfig,
     NoiseSpec,
     apply_channel,
     draw_channel,
-    exp_pdp_profile,
-    flat_profile,
     load_tdl_a_table,
     superpose,
-    tdl_a_profile,
 )
+from cpdsss.errors import ConfigError
 from cpdsss.experiments import amplitude_for_snr
 from cpdsss.tx import add_cp, allocate_codes, build_message, remove_cp
 from cpdsss.zc import generate_zc
 
 FS = 30.72e6
 RMS = 300e-9
+RMS_NS = 300.0
 
 
 def ensemble_pdp(profile, rng, draws):
     acc = np.zeros(len(profile.pdp))
     for _ in range(draws):
-        acc += np.abs(draw_channel(profile, rng).taps) ** 2
+        acc += np.abs(draw_channel(profile, rng)) ** 2
     return acc / draws
 
 
@@ -47,54 +46,106 @@ def test_tdl_table_loads_with_version():
 
 
 def test_profiles_have_unit_power_pdp():
-    for prof in (tdl_a_profile(), exp_pdp_profile(), flat_profile()):
+    for prof in (
+        ChannelConfig(),
+        ChannelConfig(kind="exp_pdp", max_taps=72),
+        ChannelConfig(kind="flat", normalize_each_draw=False),
+    ):
         assert abs(prof.pdp.sum() - 1.0) < 1e-12
     # 300 ns at 30.72 MHz puts the last table tap at sample 89
-    assert len(tdl_a_profile().pdp) == 90
+    assert len(ChannelConfig().pdp) == 90
 
 
 def test_tdl_a_allocates_only_kept_taps():
     # 1e9 ns spreads the table over ~3e8 samples; only max_taps of them are built
     tracemalloc.start()
     try:
-        prof = tdl_a_profile(1.0, FS, 128)
+        pdp = ChannelConfig(rms_delay_spread_ns=1e9, sample_rate_hz=FS, max_taps=128).pdp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(prof.pdp) == 128 and prof.pdp[0] == 1.0
+    assert len(pdp) == 128 and pdp[0] == 1.0
     assert peak < 1 << 20
 
 
 def test_unknown_profile_kind_rejected():
-    with pytest.raises(ValueError):
-        ChannelProfile("garbage", RMS, FS, 16)
+    with pytest.raises(ConfigError):
+        ChannelConfig(kind="garbage", rms_delay_spread_ns=RMS_NS, sample_rate_hz=FS, max_taps=16)
+
+
+@pytest.mark.parametrize("kind", ["exp_pdp", "tdl_a"])
+def test_nan_delay_spread_rejected(kind):
+    with pytest.raises(ConfigError, match="rms_delay_spread_ns must be finite"):
+        ChannelConfig(kind=kind, rms_delay_spread_ns=float("nan"), sample_rate_hz=FS)
+
+
+# SHA-256 of pdp.tobytes(), recorded from the per-kind profile builder that
+# ChannelConfig.pdp replaced; these settings lie outside the CSV-pinned configs
+PDP_SHA256 = {
+    "exp_pdp_72_taps": (
+        {"kind": "exp_pdp", "max_taps": 72},
+        "4c763e9af2ed959de7e89782bba9a675126698317b2160afbb493b73085eb6c4",
+    ),
+    "tdl_a_1e9ns_128_taps": (
+        {"rms_delay_spread_ns": 1e9, "max_taps": 128},
+        "91170c9662528fd302ce361383bad0080f71f1eb917dcfa9a349bbb66738d85c",
+    ),
+    "tdl_a_37.5ns_7.68MHz": (
+        {"rms_delay_spread_ns": 37.5, "sample_rate_hz": 7.68e6},
+        "ca68f5611b2e809a19751e1966db83d557001a72f0e50eba655eb9bec77647b2",
+    ),
+    "flat": (
+        {"kind": "flat"},
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ),
+    "tdl_a_1_tap": (
+        {"max_taps": 1},
+        "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    ),
+    "tdl_a_1024_taps": (
+        {"max_taps": 1024},
+        "29c9d04474330302bb1e00466566641f8cfcbf90491a8030859524a4c063b821",
+    ),
+    "exp_pdp_1024_taps": (
+        {"kind": "exp_pdp", "max_taps": 1024},
+        "935b714aaac4ec4f3c783fbfaf78efd31961f1ddae9c5f85ab502c0affd2330d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kwargs, digest", PDP_SHA256.values(), ids=PDP_SHA256)
+def test_pdp_bytes_are_pinned(kwargs, digest):
+    pdp = ChannelConfig(**kwargs).pdp
+    assert pdp.dtype == np.float64 and not pdp.flags.writeable
+    assert hashlib.sha256(pdp.tobytes()).hexdigest() == digest
 
 
 def test_flat_profile_single_tap(rng):
-    prof = flat_profile()
+    prof = ChannelConfig(kind="flat", normalize_each_draw=False)
     h = draw_channel(prof, rng)
-    assert h.taps.shape == (1,)
+    assert h.shape == (1,)
     power = np.mean(
-        [np.abs(draw_channel(prof, rng).taps[0]) ** 2 for _ in range(20_000)]
+        [np.abs(draw_channel(prof, rng)[0]) ** 2 for _ in range(20_000)]
     )
     assert abs(power - 1.0) < 0.02
 
 
 def test_normalized_draws_have_exactly_unit_energy(rng):
-    prof = tdl_a_profile()
+    prof = ChannelConfig()
     for _ in range(50):
         h = draw_channel(prof, rng)
-        assert abs(np.linalg.norm(h.taps) ** 2 - 1.0) < 1e-12
+        assert abs(np.linalg.norm(h) ** 2 - 1.0) < 1e-12
 
 
 def test_unnormalized_energy_is_one_on_average(rng):
-    prof = tdl_a_profile(normalize_each_draw=False)
-    energies = [np.linalg.norm(draw_channel(prof, rng).taps) ** 2 for _ in range(10_000)]
+    prof = ChannelConfig(normalize_each_draw=False)
+    energies = [np.linalg.norm(draw_channel(prof, rng)) ** 2 for _ in range(10_000)]
     assert abs(np.mean(energies) - 1.0) < 0.02
 
 
 def test_exp_profile_decay_constant():
-    prof = exp_pdp_profile(RMS, FS)
+    prof = ChannelConfig(kind="exp_pdp", rms_delay_spread_ns=RMS_NS, sample_rate_hz=FS,
+                         max_taps=72)
     beta = RMS * FS  # 9.216 samples
     ratios = prof.pdp[1:] / prof.pdp[:-1]
     assert np.abs(ratios - np.exp(-1.0 / beta)).max() < 1e-12
@@ -106,29 +157,30 @@ def test_exp_profile_decay_constant():
 # PDP and is exercised separately above).
 
 def test_exp_profile_rms_delay_spread(rng):
-    prof = exp_pdp_profile(RMS, FS, normalize_each_draw=False)
+    prof = ChannelConfig(kind="exp_pdp", rms_delay_spread_ns=RMS_NS, sample_rate_hz=FS,
+                         max_taps=72, normalize_each_draw=False)
     pdp = ensemble_pdp(prof, rng, 100_000)
     got = rms_delay_spread_ns(pdp, FS)
     assert abs(got - 300.0) / 300.0 < 0.05
 
 
 def test_tdl_a_rms_delay_spread(rng):
-    prof = tdl_a_profile(RMS, FS, normalize_each_draw=False)
+    prof = ChannelConfig(rms_delay_spread_ns=RMS_NS, sample_rate_hz=FS, normalize_each_draw=False)
     pdp = ensemble_pdp(prof, rng, 100_000)
     got = rms_delay_spread_ns(pdp, FS)
     assert abs(got - 300.0) / 300.0 < 0.05
 
 
 def test_draw_is_deterministic_given_stream():
-    prof = tdl_a_profile()
-    a = draw_channel(prof, np.random.default_rng(42)).taps
-    b = draw_channel(prof, np.random.default_rng(42)).taps
+    prof = ChannelConfig()
+    a = draw_channel(prof, np.random.default_rng(42))
+    b = draw_channel(prof, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_identity_channel():
     x = np.arange(10.0) + 1j
-    h = ChannelRealization(taps=np.array([1.0 + 0j]))
+    h = np.array([1.0 + 0j])
     assert np.allclose(apply_channel(x, h), x)
 
 
@@ -138,8 +190,7 @@ def test_cp_makes_convolution_circular():
     n, cp = 64, 16
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     taps = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
-    h = ChannelRealization(taps=taps)
-    received = apply_channel(add_cp(x, cp), h)
+    received = apply_channel(add_cp(x, cp), taps)
     got = remove_cp(received, cp)
     oracle = circular_convolve_oracle(x, taps)
     assert np.abs(got - oracle).max() < 1e-9
@@ -171,7 +222,7 @@ def test_configured_snr_is_realized(rng):
     basis = generate_zc(1024, 1)
     assign = allocate_codes(1, k_bits, 40, 1024)[0]
     amp = amplitude_for_snr(snr_db, 1024, noise_var, k_bits)
-    prof = tdl_a_profile()
+    prof = ChannelConfig()
     acc = 0.0
     frames = 10_000
     for _ in range(frames):

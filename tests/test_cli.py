@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import cpdsss
-from cpdsss import cli, experiments
+from cpdsss import analysis, cli, experiments
 from cpdsss.analysis import p0_from_pfa, pfa_from_p0
 from cpdsss.errors import NumericalError
 
@@ -373,8 +373,10 @@ def test_selftest_filter(capsys):
     assert lines and all("bessel" in l for l in lines)
 
 
-def test_selftest_injected_failure_names_check(capsys):
-    rc = cli.main(["selftest", "--inject-failure", "h0_pdf_normalization"])
+def test_selftest_injected_failure_names_check(capsys, monkeypatch):
+    h0_pdf = analysis.h0_pdf
+    monkeypatch.setattr(analysis, "h0_pdf", lambda pdf, x: 0.9 * h0_pdf(pdf, x))
+    rc = cli.main(["selftest", "--filter", "h0_pdf_normalization"])
     out = capsys.readouterr().out
     assert rc == cli.EXIT_CHECK_FAILED
     assert any(l.startswith("FAIL h0_pdf_normalization") for l in out.splitlines())

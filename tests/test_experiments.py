@@ -10,7 +10,7 @@ from scipy.stats import gamma, ks_2samp, kstest, ncx2
 
 from helpers import erlang_mixture_cdf, full_chain_h0, full_chain_h1
 
-from cpdsss.channel import ChannelRealization, apply_channel, draw_taps
+from cpdsss.channel import apply_channel, draw_taps
 from cpdsss.errors import ConfigError
 from cpdsss.channel import ProfileKind
 from cpdsss.experiments import (
@@ -211,15 +211,15 @@ def test_sampler_signal_equals_full_chain(case, k_bits):
     config = cfg(kind="pmd", snr_grid_db=[0.0], curves=[{"k_bits": k_bits, "m_of_n": 1}],
                  **overrides)
     sc = _Scenario(config, config.curves[0])
-    assert len(sc.profile.pdp) == n_taps
+    assert len(sc.config.channel.pdp) == n_taps
     rng = np.random.default_rng(17)
     size, amp = 6, 3.0
     bits = rng.choice([-1, 1], size=(size, k_bits))
-    taps = draw_taps(sc.profile, rng, size)
+    taps = draw_taps(sc.config.channel, rng, size)
     windows, energy = sc.window_signal(amp * np.hstack([np.ones((size, 1)), bits]), taps)
     for b in range(size):
         body = build_message(sc.basis, sc.assign, [1, *bits[b]], amp)
-        received = apply_channel(add_cp(body, config.cp_len), ChannelRealization(taps[b]))
+        received = apply_channel(add_cp(body, config.cp_len), taps[b])
         y = remove_cp(received, config.cp_len)
         expected = extract_user(despread_full(sc.basis, y), sc.assign).vectors
         assert np.abs(windows[b] - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -231,7 +231,7 @@ def _chunk_and_signal(sc, seed, size, amp):
     ch = sc.chunk(np.random.default_rng(seed), 1, amp, size)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(size, sc.curve.k_bits)) * 2.0 - 1.0
-    taps = draw_taps(sc.profile, rng, size)
+    taps = draw_taps(sc.config.channel, rng, size)
     windows, energy = sc.window_signal(amp * np.hstack([np.ones((size, 1)), bits]), taps)
     return ch, bits, windows, energy
 

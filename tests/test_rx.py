@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_despread
 
-from cpdsss.channel import (
-    ChannelRealization,
-    NoiseSpec,
-    apply_channel,
-    superpose,
-    tdl_a_profile,
-    draw_channel,
-)
+from cpdsss.channel import ChannelConfig, NoiseSpec, apply_channel, draw_channel, superpose
 from cpdsss.rx import (
     DespreadSet,
     despread_full,
@@ -74,7 +67,7 @@ def test_extract_user_reproduces_channel_taps(basis1024):
     amp = 1.3
     body = build_message(basis1024, assign, bits, amp)
     taps = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) / 8
-    rx_samples = apply_channel(add_cp(body, 72), ChannelRealization(taps=taps))
+    rx_samples = apply_channel(add_cp(body, 72), taps)
     ds = extract_user(despread_full(basis1024, remove_cp(rx_samples, 72)), assign)
     for k, b in enumerate(bits):
         assert np.abs(ds.vectors[k] - amp * b * taps).max() < 1e-9
@@ -195,7 +188,7 @@ def test_estimate_noise_power_bias_with_buried_signal(basis1024, rng):
     # message 15 dB below the noise biases the estimate by ~0.135 dB
     assign = allocate_codes(1, 1, 40, 1024)[0]
     amp = np.sqrt(10 ** (-1.5) * 1024 / 2)
-    prof = tdl_a_profile()
+    prof = ChannelConfig()
     acc = 0.0
     frames = 2000
     for _ in range(frames):
@@ -215,8 +208,8 @@ def test_cross_user_isolation(basis1024):
     taps1 = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) / 8
     body0 = build_message(basis1024, assigns[0], [1, -1], 1.0)
     body1 = build_message(basis1024, assigns[1], [1, 1], 2.0)
-    rx0 = apply_channel(add_cp(body0, 72), ChannelRealization(taps=taps0))
-    rx1 = apply_channel(add_cp(body1, 72), ChannelRealization(taps=taps1))
+    rx0 = apply_channel(add_cp(body0, 72), taps0)
+    rx1 = apply_channel(add_cp(body1, 72), taps1)
     alone = extract_user(despread_full(basis1024, remove_cp(rx0, 72)), assigns[0])
     both_samples = superpose([rx0, rx1], NoiseSpec(0.0), rng)
     both = extract_user(despread_full(basis1024, remove_cp(both_samples, 72)), assigns[0])
@@ -231,9 +224,9 @@ def test_overloaded_allocation_leaks_measurable_interference(basis1024):
     rng = np.random.default_rng(55)
     taps = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) / 8
     rx0 = apply_channel(add_cp(build_message(basis1024, a0, [1, -1], 1.0), 72),
-                        ChannelRealization(taps=taps))
+                        taps)
     rx1 = apply_channel(add_cp(build_message(basis1024, a1, [1, 1], 1.0), 72),
-                        ChannelRealization(taps=taps))
+                        taps)
     alone = extract_user(despread_full(basis1024, remove_cp(rx0, 72)), a0)
     both = superpose([rx0, rx1], NoiseSpec(0.0), rng)
     with_intf = extract_user(despread_full(basis1024, remove_cp(both, 72)), a0)
@@ -246,7 +239,7 @@ def test_noise_free_end_to_end_recovers_bits(basis1024, rng):
     for _ in range(5):
         bits = [1] + [int(b) for b in rng.choice([-1, 1], 10)]
         body = build_message(basis1024, assign, bits, 0.9)
-        h = draw_channel(tdl_a_profile(max_taps=40), rng)
+        h = draw_channel(ChannelConfig(max_taps=40), rng)
         y = remove_cp(apply_channel(add_cp(body, 72), h), 72)
         ds = extract_user(despread_full(basis1024, y), assign)
         hard, _ = recover_bits(ds)
@@ -260,8 +253,8 @@ def test_soft_metric_decomposition_zero_mean(basis1024):
     rng = np.random.default_rng(101)
     assign = allocate_codes(1, 1, 40, 1024)[0]
     amp = 4.0
-    h = draw_channel(tdl_a_profile(max_taps=40), rng)
-    h_trunc_energy = float(np.linalg.norm(h.taps[:40]) ** 2)
+    h = draw_channel(ChannelConfig(max_taps=40), rng)
+    h_trunc_energy = float(np.linalg.norm(h[:40]) ** 2)
     body = build_message(basis1024, assign, [1, -1], amp)
     rx = apply_channel(add_cp(body, 72), h)
     trials = 10_000
