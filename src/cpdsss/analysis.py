@@ -369,7 +369,7 @@ def occupancy_fraction(num_ues: int, sr_rate_per_ue: float, symbol_rate: float) 
 
 def processing_gain_db(n_len: int) -> float:
     """Despreading gain of a length-N spreading sequence, in dB."""
-    if n_len < 1:
+    if not n_len >= 1:  # false for NaN too
         raise ValueError("n_len must be >= 1")
     return 10.0 * math.log10(n_len)
 

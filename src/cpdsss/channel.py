@@ -121,12 +121,13 @@ class ChannelConfig:
             pdp = np.exp(-k / beta)
         else:
             delays, powers_db, _ = load_tdl_a_table()
-            idx = np.rint(delays * rms * self.sample_rate_hz).astype(int)
+            with np.errstate(over="ignore"):  # past the float or int64 range is past max_taps
+                pos = np.rint(delays * rms * self.sample_rate_hz)
             lin = 10.0 ** (powers_db / 10.0)
-            # only taps inside max_taps are allocated; minlength keeps trailing empty taps
-            keep = idx < self.max_taps
-            width = min(int(idx.max()) + 1, self.max_taps)
-            pdp = np.bincount(idx[keep], lin[keep], minlength=width)
+            # only taps inside max_taps are cast and allocated; minlength keeps trailing empty taps
+            keep = pos < self.max_taps
+            width = int(min(pos.max() + 1, self.max_taps))
+            pdp = np.bincount(pos[keep].astype(int), lin[keep], minlength=width)
         pdp = pdp / pdp.sum()
         pdp.setflags(write=False)
         return pdp

@@ -40,7 +40,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import partial
 from math import gcd, inf, isfinite, sqrt
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,20 +68,6 @@ __all__ = [
     "trial_rng",
     "amplitude_for_snr",
     "run_experiment",
-]
-
-CSV_COLUMNS = [
-    "experiment",
-    "kind",
-    "snr_db",
-    "k_bits",
-    "m_of_n",
-    "metric",
-    "value",
-    "ci_low",
-    "ci_high",
-    "trials",
-    "seed",
 ]
 
 _CHUNK = 256  # fixed chunk size; must not depend on the worker count
@@ -203,6 +189,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             object.__setattr__(self, "name", self.kind.value)
+        # the name names the output files, which must land in the output directory
+        if self.name in (".", "..") or set(self.name) & {"/", os.sep, os.altsep, "\0"}:
+            raise ConfigError(f"name must be a plain file name, got {self.name!r}")
         # the ZC basis and every array of _Scenario grow with n_len after the sidecar is
         # written; 8192 is eight times the paper's frame of 1024
         if not 2 <= self.n_len <= 8192:
@@ -240,10 +229,15 @@ class ExperimentConfig:
                     f"k_bits={c.k_bits} with l_taps={self.l_taps} needs {shifts} code shifts, "
                     f"more than n_len={self.n_len}"
                 )
-        if self.kind is not ExperimentKind.PFA and not self.snr_grid_db:
+        if _KINDS[self.kind].h1 and not self.snr_grid_db:
             raise ConfigError(f"{self.kind.value} experiments need a non-empty snr_grid_db")
-        if not all(isfinite(v) for v in self.snr_grid_db):
-            raise ConfigError(f"snr_grid_db must be finite, got {list(self.snr_grid_db)}")
+        try:  # the amplitude falls with k_bits, so k_bits=1 bounds every curve's
+            amps = [amplitude_for_snr(v, self.n_len, self.noise_var, 1) for v in self.snr_grid_db]
+        except OverflowError:
+            amps = [inf]
+        if not all(isfinite(v) for v in [*self.snr_grid_db, *amps]):
+            raise ConfigError(f"snr_grid_db must be finite and give a finite signal amplitude at "
+                              f"this n_len and noise_var, got {list(self.snr_grid_db)}")
         roc_without_grid = self.kind is ExperimentKind.ROC and not self.roc_pfa_grid
         if roc_without_grid or not all(0.0 < p < 1.0 for p in self.roc_pfa_grid):
             raise ConfigError(
@@ -286,6 +280,9 @@ class ResultRow:
     seed: int
 
 
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]  # the CSV header: one column per field
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -293,32 +290,15 @@ class ExperimentResult:
     derived: dict
 
     def to_csv_text(self) -> str:
-        def fmt(v, spec=".12g"):
-            if v is None:
-                return ""
+        """The rows as CSV; the columns are the fields of ``ResultRow``, in order."""
+
+        def fmt(column, v):
             if isinstance(v, float):
-                return format(v, spec)
-            return str(v)
+                return format(v, ".6g" if column == "snr_db" else ".12g")
+            return "" if v is None else str(v)
 
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.experiment,
-                        r.kind,
-                        fmt(r.snr_db, ".6g"),
-                        str(r.k_bits),
-                        str(r.m_of_n),
-                        r.metric,
-                        fmt(r.value),
-                        fmt(r.ci_low),
-                        fmt(r.ci_high),
-                        str(r.trials),
-                        str(r.seed),
-                    ]
-                )
-            )
+        lines += [",".join(fmt(c, getattr(r, c)) for c in CSV_COLUMNS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> tuple[str, str]:
@@ -599,23 +579,35 @@ def _point(config: ExperimentConfig, sc: _Scenario, curve_idx: int, snr_idx: int
     return [partial(one, q) for q in range(-(-config.num_trials // _CHUNK))]
 
 
+class _Kind(NamedTuple):
+    """One experiment kind: its design targets, the points it draws and how it counts them.
+
+    ``reduce(sc, etas, chunk)`` gives a chunk's partial sums. ``rows(config, curve, designs,
+    amps, h0, h1, derived)`` turns a curve's summed chunks into result rows and adds its
+    sidecar entries to ``derived``; ``h0`` is the noise-only point, ``h1`` one point per SNR.
+    """
+
+    pfas: Callable[[ExperimentConfig], tuple[float, ...]]  # the PFAs it designs for
+    h0: bool  # draws the noise-only point
+    h1: bool  # draws one message point per SNR
+    reduce: Callable
+    rows: Callable
+
+
 def _detections(sc: _Scenario, etas: np.ndarray, ch: _Chunk) -> np.ndarray:
     """Detections of a chunk at each threshold of ``etas`` (PFA, PMD, ROC)."""
     return sc.detected(ch, etas).sum(axis=0)
 
 
-def _bit_errors(sc: _Scenario, eta, ch: _Chunk) -> tuple[int, int, int]:
-    """Bit errors, bits and frames of a chunk over the frames a detector at ``eta`` keeps.
-
-    ``eta`` None keeps every frame.
-    """
-    kept = np.ones(len(ch.est), dtype=bool) if eta is None else sc.detected(ch, eta)
+def _bit_errors(sc: _Scenario, etas: np.ndarray, ch: _Chunk) -> tuple[int, int, int]:
+    """Bit errors, bits and frames of a chunk over the frames kept by ``etas``, if any (BER)."""
+    kept = sc.detected(ch, etas[0]) if len(etas) else np.ones(len(ch.est), dtype=bool)
     hard = np.where(ch.soft >= 0, 1.0, -1.0)
     det = int(kept.sum())
     return int((hard != ch.bits)[kept].sum()), det * sc.curve.k_bits, det
 
 
-def _samples(ch: _Chunk) -> np.ndarray:
+def _samples(sc: _Scenario, etas: np.ndarray, ch: _Chunk) -> np.ndarray:
     """The pairwise statistics of a chunk, flattened (DIST)."""
     return ch.c.ravel()
 
@@ -628,113 +620,120 @@ def _rate_row(config: ExperimentConfig, curve: CurveConfig, snr: float | None, m
                      count / trials if trials else 0.0, lo, hi, trials, config.master_seed)
 
 
-_H0_KINDS = (ExperimentKind.PFA, ExperimentKind.ROC, ExperimentKind.DIST)
+def _curve_entry(derived: dict, curve: CurveConfig, **values) -> None:
+    """Add one curve's design values to the sidecar's ``curves`` list."""
+    derived.setdefault("curves", []).append({"k_bits": curve.k_bits, "m_of_n": curve.m_of_n}
+                                            | values)
+
+
+def _pfa_rows(config, curve, ds, amps, h0, h1, derived) -> list[ResultRow]:
+    _curve_entry(derived, curve, p0=ds[0].p0, eta=ds[0].eta, target_pfa=config.target_pfa)
+    return [_rate_row(config, curve, None, "pfa", int(sum(h0)[0]), config.num_trials)]
+
+
+def _pmd_rows(config, curve, ds, amps, h0, h1, derived) -> list[ResultRow]:
+    snrs, trials = config.snr_grid_db, config.num_trials
+    _curve_entry(derived, curve, p0=ds[0].p0, eta=ds[0].eta, amplitude_by_snr_db={
+        format(snr, ".6g"): amp for snr, amp in zip(snrs, amps)})
+    return [_rate_row(config, curve, snr, "pmd", trials - int(sum(counts)[0]), trials)
+            for snr, counts in zip(snrs, h1)]
+
+
+def _roc_rows(config, curve, ds, amps, h0, h1, derived) -> list[ResultRow]:
+    _curve_entry(derived, curve, pfa_grid=list(config.roc_pfa_grid),
+                 eta_grid=[d.eta for d in ds])
+    rows, trials, h0_counts = [], config.num_trials, sum(h0)
+    for snr, counts in zip(config.snr_grid_db, h1):
+        for pfa, h1_count, h0_count in zip(config.roc_pfa_grid, sum(counts), h0_counts):
+            tag = format(pfa, ".6g")
+            rows.append(_rate_row(config, curve, snr, f"pd@pfa={tag}", int(h1_count), trials))
+            rows.append(_rate_row(config, curve, snr, f"pfa_emp@pfa={tag}", int(h0_count),
+                                  trials))
+    return rows
+
+
+def _ber_rows(config, curve, ds, amps, h0, h1, derived) -> list[ResultRow]:
+    _curve_entry(derived, curve, eta=ds[0].eta if ds else None)
+    derived["detection_gate"] = config.ber_detection_gate.value
+    rows = []
+    for snr, counts in zip(config.snr_grid_db, h1):
+        errs, nbits, det = np.sum(counts, axis=0)
+        rows.append(_rate_row(config, curve, snr, "ber", int(errs), int(nbits)))
+        if ds:  # the CFAR gate's design
+            rows.append(_rate_row(config, curve, snr, "detect_rate", int(det), config.num_trials))
+    return rows
+
+
+def _dist_rows(config, curve, ds, amps, h0, h1, derived) -> list[ResultRow]:
+    from scipy.stats import ks_2samp  # the only kind that needs scipy
+
+    rows, h0_samples = [], np.concatenate(h0)
+    for snr, amp, chunks in zip(config.snr_grid_db, amps, h1):
+        h1_samples = np.concatenate(chunks)
+        top = 1.05 * max(float(np.quantile(h0_samples, 0.999)),
+                         float(np.quantile(h1_samples, 0.999)), 1e-12)
+        edges = np.linspace(0.0, top, config.dist_bins + 1)
+        h0_hist, _ = np.histogram(h0_samples, bins=edges)
+        h1_hist, _ = np.histogram(h1_samples, bins=edges)
+        values = {
+            "h0_c_mean": float(h0_samples.mean()),
+            "h1_c_mean": float(h1_samples.mean()),
+            "h1_minus_h0_mean": float(h1_samples.mean() - h0_samples.mean()),
+            "expected_h1_offset": amp * amp,
+            "ks_h0_h1": float(ks_2samp(h0_samples, h1_samples).statistic),
+        }
+        for b in range(config.dist_bins):
+            values[f"h0_hist_{b:03d}"] = float(h0_hist[b])
+            values[f"h1_hist_{b:03d}"] = float(h1_hist[b])
+        rows.extend(ResultRow(config.name, config.kind.value, snr, curve.k_bits, curve.m_of_n,
+                              metric, value, None, None, config.num_trials, config.master_seed)
+                    for metric, value in values.items())
+        derived.setdefault("points", []).append({"k_bits": curve.k_bits, "snr_db": snr,
+                                                 "amplitude": amp, "bin_edges": edges.tolist()})
+    return rows
+
+
+_KINDS = {
+    ExperimentKind.DIST: _Kind(lambda c: (), True, True, _samples, _dist_rows),
+    ExperimentKind.PFA: _Kind(lambda c: (c.target_pfa,), True, False, _detections, _pfa_rows),
+    ExperimentKind.PMD: _Kind(lambda c: (c.target_pfa,), False, True, _detections, _pmd_rows),
+    ExperimentKind.ROC: _Kind(lambda c: c.roc_pfa_grid, True, True, _detections, _roc_rows),
+    ExperimentKind.BER: _Kind(
+        lambda c: (c.target_pfa,) if c.ber_detection_gate is BerGate.CFAR else (),
+        False, True, _bit_errors, _ber_rows),
+}
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run ``config`` on ``jobs`` worker threads; one loop over the curves serves every kind.
+    """Run ``config`` on ``jobs`` worker threads; one loop serves every kind (see ``_KINDS``).
 
-    Each curve draws the noise-only point (PFA, ROC, DIST) and one message
-    point per SNR (all kinds but PFA), reduces each chunk to what its kind
-    counts, and turns the sums into rows. Every curve's designs are solved
-    before the first chunk is drawn, so a design that fails runs no trials;
-    then the chunks of every point of every curve run on one pool.
+    Every design is solved before the first chunk is planned, so a design
+    that fails runs no trials. Then the chunks of every point of every curve
+    run on one pool, and the kind's row builder turns each curve's sums into rows.
     """
-    kind, trials = config.kind, config.num_trials
-    gated = kind is ExperimentKind.BER and config.ber_detection_gate is BerGate.CFAR
-    snrs = () if kind is ExperimentKind.PFA else config.snr_grid_db
-    if kind is ExperimentKind.ROC:
-        pfas = config.roc_pfa_grid
-    elif kind is ExperimentKind.DIST or kind is ExperimentKind.BER and not gated:
-        pfas = ()  # no threshold
-    else:
-        pfas = (config.target_pfa,)
+    kind = _KINDS[config.kind]
     designs = [[design_detector(pfa, c.k_bits, c.m_of_n, config.l_taps, config.noise_var)
-                for pfa in pfas] for c in config.curves]
-    rows = []
-    derived = {"points": []} if kind is ExperimentKind.DIST else {"curves": []}
-    if kind is ExperimentKind.BER:
-        derived["detection_gate"] = config.ber_detection_gate.value
-    plans, tasks = [], []
+                for pfa in kind.pfas(config)] for c in config.curves]
+    amps, tasks = [], []
     for ci, (curve, ds) in enumerate(zip(config.curves, designs)):
         sc = _Scenario(config, curve)
-        etas = np.array([d.eta for d in ds])
-        amps = [amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
-                for snr in snrs]
         # the reducer holds this curve's scenario and thresholds: its chunks run after the loop
-        if kind is ExperimentKind.DIST:
-            reduce = _samples
-        elif kind is ExperimentKind.BER:
-            reduce = partial(_bit_errors, sc, etas[0] if gated else None)
-        else:
-            reduce = partial(_detections, sc, etas)
-        if kind in _H0_KINDS:
+        reduce = partial(kind.reduce, sc, np.array([d.eta for d in ds]))
+        amps.append([amplitude_for_snr(snr, config.n_len, config.noise_var, curve.k_bits)
+                     for snr in (config.snr_grid_db if kind.h1 else ())])
+        if kind.h0:
             tasks += _point(config, sc, ci, 0, 0, 0.0, reduce)
-        for si, amp in enumerate(amps):
+        for si, amp in enumerate(amps[-1]):
             tasks += _point(config, sc, ci, si, 1, amp, reduce)
-        plans.append((curve, ds, etas, amps))
 
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         done = list((pool.map if pool else map)(lambda task: task(), tasks))
-    chunks = -(-trials // _CHUNK)
+    chunks = -(-config.num_trials // _CHUNK)
     points = iter([done[i:i + chunks] for i in range(0, len(done), chunks)])
 
-    for curve, ds, etas, amps in plans:
-        h0 = next(points) if kind in _H0_KINDS else None
-        h1 = [next(points) for _ in amps]
-        entry = {"k_bits": curve.k_bits, "m_of_n": curve.m_of_n}
-        if kind is ExperimentKind.PFA:
-            rows.append(_rate_row(config, curve, None, "pfa", int(sum(h0)[0]), trials))
-            entry |= {"p0": ds[0].p0, "eta": ds[0].eta, "target_pfa": config.target_pfa}
-        elif kind is ExperimentKind.PMD:
-            for snr, counts in zip(snrs, h1):
-                misses = trials - int(sum(counts)[0])
-                rows.append(_rate_row(config, curve, snr, "pmd", misses, trials))
-            entry |= {"p0": ds[0].p0, "eta": ds[0].eta, "amplitude_by_snr_db":
-                      {format(snr, ".6g"): amp for snr, amp in zip(snrs, amps)}}
-        elif kind is ExperimentKind.ROC:
-            h0_counts = sum(h0)
-            for snr, counts in zip(snrs, h1):
-                for pfa, h1_count, h0_count in zip(config.roc_pfa_grid, sum(counts), h0_counts):
-                    tag = format(pfa, ".6g")
-                    rows.append(_rate_row(config, curve, snr, f"pd@pfa={tag}", int(h1_count),
-                                          trials))
-                    rows.append(_rate_row(config, curve, snr, f"pfa_emp@pfa={tag}",
-                                          int(h0_count), trials))
-            entry |= {"pfa_grid": list(config.roc_pfa_grid), "eta_grid": list(map(float, etas))}
-        elif kind is ExperimentKind.BER:
-            for snr, counts in zip(snrs, h1):
-                errs, nbits, det = np.sum(counts, axis=0)
-                rows.append(_rate_row(config, curve, snr, "ber", int(errs), int(nbits)))
-                if gated:
-                    rows.append(_rate_row(config, curve, snr, "detect_rate", int(det), trials))
-            entry["eta"] = ds[0].eta if gated else None
-        else:
-            from scipy.stats import ks_2samp  # the only kind that needs scipy
-
-            h0_samples = np.concatenate(h0)
-            for snr, amp, chunks in zip(snrs, amps, h1):
-                h1_samples = np.concatenate(chunks)
-                top = 1.05 * max(float(np.quantile(h0_samples, 0.999)),
-                                 float(np.quantile(h1_samples, 0.999)), 1e-12)
-                edges = np.linspace(0.0, top, config.dist_bins + 1)
-                h0_hist, _ = np.histogram(h0_samples, bins=edges)
-                h1_hist, _ = np.histogram(h1_samples, bins=edges)
-                values = {
-                    "h0_c_mean": float(h0_samples.mean()),
-                    "h1_c_mean": float(h1_samples.mean()),
-                    "h1_minus_h0_mean": float(h1_samples.mean() - h0_samples.mean()),
-                    "expected_h1_offset": amp * amp,
-                    "ks_h0_h1": float(ks_2samp(h0_samples, h1_samples).statistic),
-                }
-                for b in range(config.dist_bins):
-                    values[f"h0_hist_{b:03d}"] = float(h0_hist[b])
-                    values[f"h1_hist_{b:03d}"] = float(h1_hist[b])
-                rows.extend(ResultRow(config.name, kind.value, snr, curve.k_bits, curve.m_of_n,
-                                      metric, value, None, None, trials, config.master_seed)
-                            for metric, value in values.items())
-                derived["points"].append({"k_bits": curve.k_bits, "snr_db": snr, "amplitude": amp,
-                                          "bin_edges": [float(e) for e in edges]})
-        if kind is not ExperimentKind.DIST:
-            derived["curves"].append(entry)
+    rows, derived = [], {}
+    for curve, ds, curve_amps in zip(config.curves, designs, amps):
+        h0 = next(points) if kind.h0 else None
+        h1 = [next(points) for _ in curve_amps]
+        rows += kind.rows(config, curve, ds, curve_amps, h0, h1, derived)
     return ExperimentResult(config, rows, derived)

@@ -519,6 +519,11 @@ def test_processing_gain():
         processing_gain_db(0)
 
 
+def test_processing_gain_rejects_nan():
+    with pytest.raises(ValueError, match="n_len must be >= 1"):
+        processing_gain_db(math.nan)
+
+
 def test_interference_rise():
     assert interference_rise_db(0.0, 0.01) == 0.0
     got = interference_rise_db(1.0 / 3.0, 0.01)

@@ -68,6 +68,13 @@ def test_tdl_a_allocates_only_kept_taps():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("rms_ns, fs", [(1e12, 1e16), (1e300, 1e300)])
+def test_tdl_a_delays_past_int64_keep_only_the_first_tap(rms_ns, fs):
+    # the scaled delays pass the int64 range (or the float range) before they are truncated
+    pdp = ChannelConfig(rms_delay_spread_ns=rms_ns, sample_rate_hz=fs, max_taps=128).pdp
+    assert len(pdp) == 128 and pdp[0] == 1.0 and not pdp[1:].any()
+
+
 def test_unknown_profile_kind_rejected():
     with pytest.raises(ConfigError):
         ChannelConfig(kind="garbage", rms_delay_spread_ns=RMS_NS, sample_rate_hz=FS, max_taps=16)

@@ -212,6 +212,8 @@ def test_simulate_nonfinite_override_rejected(tmp_path, capsys, override):
     ("roc.json", "noise_var=1" + "0" * 400),  # an integer past the float range
     ("roc.json", "n_len=8193"),
     ("roc.json", "channel.max_taps=1025"),
+    ("pmd.json", "snr_grid_db=[4000.0]"),  # 10 ** 400 overflows
+    ("roc.json", "noise_var=1e308"),  # a finite SNR whose amplitude is infinite
 ])
 def test_simulate_bad_config_exits_2_before_writing(tmp_path, capsys, config, override):
     out = tmp_path / "o"
@@ -220,6 +222,33 @@ def test_simulate_bad_config_exits_2_before_writing(tmp_path, capsys, config, ov
     assert rc == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()  # neither the sidecar nor the CSV
+
+
+@pytest.mark.parametrize("name, override", [
+    ("../escaped", None),
+    ("cli_demo", 'name="a\\u0000b"'),
+    ("..", None),
+    (".", None),
+    ("sub/name", None),
+])
+def test_simulate_name_must_be_a_plain_file_name(tmp_path, capsys, name, override):
+    config = write_config(tmp_path / "c.json", name=name)
+    out = tmp_path / "run" / "o"
+    args = ["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"]
+    rc = cli.main(args + (["--set", override] if override else []))
+    assert rc == cli.EXIT_CONFIG
+    assert "name must be a plain file name" in capsys.readouterr().err
+    # nothing under --out, its parent or beside the config: not even --out itself
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_simulate_tdl_a_delays_past_int64_run(tmp_path):
+    # 1e12 ns at 1e16 Hz puts every nonzero TDL-A delay past max_taps, and past int64
+    config = write_config(tmp_path / "c.json", num_trials=300,
+                          channel={"rms_delay_spread_ns": 1e12, "sample_rate_hz": 1e16})
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    assert read_rows(out / "cli_demo.csv")[0]["trials"] == "300"
 
 
 def test_simulate_tail_overflow_exits_3_before_any_trial(tmp_path, capsys, monkeypatch):
@@ -299,6 +328,19 @@ def test_imports_stay_light(tmp_path):
     proc = run_python(["-c", code], check=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert len(read_rows(tmp_path / "thresholds.csv")) == 2
+
+
+def test_benchmark_microbenchmarks_resolve_package_names(tmp_path):
+    # perfbench/child.py imports package names the package itself may not use; deleting one
+    # must fail here rather than in a later benchmark run
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        names = {m["name"] for m in json.load(fh)["per_layer"] if m["name"].endswith("_us")}
+    out = tmp_path / "m.json"
+    proc = run_python(["-B", os.path.join(root, "perfbench", "child.py"), "micro", "1", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert len(names) == 18
+    assert set(json.loads(out.read_text())["micro_us"]) == names
 
 
 def test_simulate_subprocess_writes_outputs(tmp_path):

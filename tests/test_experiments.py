@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -105,18 +107,25 @@ def config_mappings(draw):
     unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
     curves = [{"k_bits": k, "m_of_n": draw(st.integers(1, k * (k + 1) // 2))}
               for k in draw(st.lists(st.integers(1, k_max), min_size=1, max_size=3))]
+    # a plain file name: it names the output files
+    name = st.text(st.characters(exclude_characters="/\0" + os.sep), max_size=8).filter(
+        lambda s: s not in (".", ".."))
+    noise_var = draw(positive)
+    # every SNR point needs a finite amplitude: 10 ** (snr / 10) * n_len, and that times
+    # noise_var, below the float range
+    snr_max = 10 * math.log10(sys.float_info.max / (n_len * max(noise_var, 1.0))) - 1
     return {
         "kind": draw(st.sampled_from(ExperimentKind)).value,
-        "name": draw(st.text(max_size=8)),
+        "name": draw(name),
         "n_len": n_len,
         "cp_len": draw(st.integers(0, n_len - 1)),
         "l_taps": l_taps,
         "zc_root": draw(st.integers(1, 2 * n_len).filter(lambda r: math.gcd(r, n_len) == 1)),
-        "noise_var": draw(positive),
+        "noise_var": noise_var,
         "curves": curves,
         "target_pfa": draw(unit),
-        "snr_grid_db": draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                     min_size=1, max_size=4)),
+        "snr_grid_db": draw(st.lists(st.floats(max_value=snr_max, allow_nan=False,
+                                               allow_infinity=False), min_size=1, max_size=4)),
         "num_trials": draw(st.integers(1, 10**9)),
         "master_seed": draw(st.integers(0, 2**64)),
         "threshold_mode": draw(st.sampled_from(ThresholdMode)).value,
@@ -449,6 +458,16 @@ def test_csv_schema_and_write(tmp_path):
     # rewriting is atomic and idempotent
     res.write(tmp_path)
     assert open(csv_path).read() == text
+
+
+def test_every_kind_is_declared_once():
+    # run_experiment reads what a kind designs, draws and counts from its record alone
+    from cpdsss.experiments import _KINDS
+
+    assert set(_KINDS) == set(ExperimentKind)
+    ber = dict(kind="ber", snr_grid_db=[-10.0], target_pfa=0.01)
+    assert _KINDS[ExperimentKind.BER].pfas(cfg(**ber)) == ()
+    assert _KINDS[ExperimentKind.BER].pfas(cfg(**ber, ber_detection_gate="cfar")) == (0.01,)
 
 
 def test_run_experiment_dispatch():
