@@ -18,10 +18,11 @@ z = 2x/sigma^2,
 
 Every term is positive, so S is evaluated in log space to full relative
 accuracy at any depth, and thresholds solve log S = log p0 by Newton's
-method. The M-out-of-n false-alarm combinatorics use the (exact)
-binomial tail, equal to a regularized incomplete beta function. This
-design path needs the math module only; the array-valued density and
-Bessel functions load numpy when they are called.
+method. The density is -dS/dx, and the CDF is 1 - S or, where S > 1/2,
+the lower tail's own finite sum, so both come from the same constants.
+The M-out-of-n false-alarm combinatorics use the (exact) binomial tail,
+equal to a regularized incomplete beta function. Everything here needs
+the math module only; the density loads numpy for an array input.
 
 The distribution depends on x only through x/sigma^2, so a threshold
 solved at one noise variance rescales linearly to any other - which is
@@ -73,19 +74,6 @@ def _log_half_order_coeffs(a: int) -> tuple[float, ...]:
     )
 
 
-def _log_bessel_k_half(a: int, x):
-    """log K_{a+1/2}(x), vectorized over a 1-D array of x > 0."""
-    import numpy as np  # the array paths load numpy; design and the tail sum do not
-
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = np.asarray(_log_half_order_coeffs(a))
-    k = np.arange(a + 1)
-    terms = coeffs[:, None] - k[:, None] * np.log(2.0 * x)[None, :]
-    m = terms.max(axis=0)
-    lse = m + np.log(np.exp(terms - m[None, :]).sum(axis=0))
-    return 0.5 * np.log(pi / (2.0 * x)) - x + lse
-
-
 def bessel_k_half(order_minus_half: int, x: float) -> float:
     """Modified Bessel function of the second kind at half-integer order a + 1/2.
 
@@ -93,8 +81,6 @@ def bessel_k_half(order_minus_half: int, x: float) -> float:
     K_{a+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (a+k)! / (k!(a-k)!) (2x)^{-k},
     evaluated in log space so large orders stay accurate at small arguments.
     """
-    import numpy as np
-
     a = int(order_minus_half)
     if a < 0:
         raise ValueError("order_minus_half must be >= 0")
@@ -102,7 +88,12 @@ def bessel_k_half(order_minus_half: int, x: float) -> float:
         raise ValueError(f"argument must be positive, got {x}")
     if x == inf:
         return 0.0
-    return float(np.exp(_log_bessel_k_half(a, x))[0])
+    t = [c - k * log(2.0 * x) for k, c in enumerate(_log_half_order_coeffs(a))]
+    m = max(t)
+    try:  # K passes the float range at tiny x
+        return exp(0.5 * log(pi / (2.0 * x)) - x + m + log(fsum(exp(v - m) for v in t)))
+    except OverflowError:
+        return inf
 
 
 @dataclass(frozen=True)
@@ -118,43 +109,29 @@ class H0Pdf:
         if not (math.isfinite(self.noise_var) and self.noise_var > 0):
             raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
-    @property
-    def _log_norm(self) -> float:
-        ll = self.l_taps
-        return (
-            log(self.noise_var / 2.0)
-            + (ll - 1.5) * log(2.0)
-            + 0.5 * log(pi)
-            + lgamma(ll)
-        )
-
-    @property
-    def _density_at_zero(self) -> float:
-        # small-argument limit of the Bessel form: finite for L >= 1
-        ll = self.l_taps
-        return 2.0 * exp(lgamma(ll - 0.5) - lgamma(ll)) / (self.noise_var * sqrt(pi))
-
 
 def h0_pdf(pdf: H0Pdf, x):
-    """Evaluate the noise-only density at x >= 0 (scalar or array); it is 0 at +inf."""
-    import numpy as np
+    """Evaluate the noise-only density at x >= 0 (scalar or array); it is 0 at +inf.
 
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x_arr)):
+    It is -dS/dx = (2/sigma^2) S (-d log S/dz), from the tail sum; only an array loads numpy.
+    """
+    if not isinstance(x, (int, float)):
+        import numpy as np
+
+        x_arr = np.asarray(x, dtype=float)
+        out = np.array([h0_pdf(pdf, v) for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
+        return float(out) if out.shape == () else out
+    if isnan(x):
         raise ValueError("density is undefined at NaN")
-    if np.any(x_arr < 0):
+    if x < 0:
         raise ValueError("density is defined for x >= 0")
-    ll, s2 = pdf.l_taps, pdf.noise_var
-    with np.errstate(over="ignore"):  # an x that overflows z is past every tail
-        z = 2.0 * x_arr / s2
-    out = np.where(z == inf, 0.0, pdf._density_at_zero)
-    big = (x_arr >= 1e-8 * s2) & (z < inf)
-    if np.any(big):
-        logf = (ll - 0.5) * np.log(z[big]) + _log_bessel_k_half(ll - 1, z[big]) - pdf._log_norm
-        out[big] = np.exp(logf)
-    if np.isscalar(x) or x_arr.shape == ():
-        return float(out)
-    return out
+    z = 2.0 * x / pdf.noise_var
+    if z == inf:  # an x that overflows z is past every tail
+        return 0.0
+    if z == 0:  # S = 1 and -d log S/dz = w_{L-1}
+        return 2.0 * _tail_coeffs(pdf.l_taps)[1][0] / pdf.noise_var
+    log_s, slope = _log_sf(pdf.l_taps, z)
+    return 2.0 * exp(log_s) * -slope / pdf.noise_var
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -196,15 +173,28 @@ def _log_sf(l_taps: int, z: float) -> tuple[float, float]:
 
 
 def h0_cdf(pdf: H0Pdf, x: float) -> float:
-    """P(statistic <= x), the complement of the closed-form tail sum; 1 at +inf."""
+    """P(statistic <= x): 1 - S, or where S > 1/2 the lower tail, a sum of positive terms.
+
+    F = e^-z sum_{j>=1} (1 - W_j) z^j / j!, and 1 - W_j = 1 from j = L on. Where
+    S > 1/2, z < L, so those Poisson terms fall; they stop ``_LOG_SKIP`` below the top.
+    """
     if isnan(x):
         raise ValueError("CDF is undefined at NaN")
-    if x <= 0:
-        return 0.0
     z = 2.0 * x / pdf.noise_var
-    if z == inf:
-        return 1.0
-    return -expm1(_log_sf(pdf.l_taps, z)[0])
+    if not 0 < z < inf:  # 0 at x <= 0 or where z underflows, 1 at +inf
+        return float(z > 0)
+    log_s = _log_sf(pdf.l_taps, z)[0]
+    if log_s <= log(0.5):
+        return -expm1(log_s)
+    # 1 - W_j sums w_{L-1-i} = ratio_i W_i over i < j
+    log_a, ratio = _tail_coeffs(pdf.l_taps)
+    log_w = (log(r) + a + lgamma(i + 1) for i, (a, r) in enumerate(zip(log_a, ratio)))
+    lz = log(z)
+    t = [d - lgamma(j + 1) + j * lz for j, d in enumerate(accumulate(log_w, _logaddexp), 1)]
+    m = max(t)
+    while t[-1] > m - _LOG_SKIP:
+        t.append(t[-1] + lz - log(len(t) + 1))
+    return exp(m + log(fsum(exp(v - m) for v in t)) - z)
 
 
 def solve_threshold(pdf: H0Pdf, p0: float) -> float:

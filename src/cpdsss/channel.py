@@ -117,8 +117,10 @@ class ChannelConfig:
             pdp = np.ones(1)
         elif self.kind == ProfileKind.EXP_PDP.value:
             beta = rms * self.sample_rate_hz
-            k = np.arange(self.max_taps)
-            pdp = np.exp(-k / beta)
+            k = np.arange(1, self.max_taps)
+            # a spread that rounds to 0 samples is the zero-spread limit: all power in tap 0
+            with np.errstate(divide="ignore", over="ignore"):
+                pdp = np.concatenate(([1.0], np.exp(-k / beta)))
         else:
             delays, powers_db, _ = load_tdl_a_table()
             with np.errstate(over="ignore"):  # past the float or int64 range is past max_taps

@@ -140,6 +140,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         mapping["master_seed"] = args.seed
     config = ExperimentConfig.from_mapping(mapping)
+    config.designs  # a design that fails exits before anything is written
     write_sidecar(config, {}, args.out)  # full resolved config lands on disk before trials
     result = run_experiment(config, jobs=max(1, args.jobs))
     csv_path, sidecar = result.write(args.out)

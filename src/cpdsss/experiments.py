@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, inf, isfinite, sqrt
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -46,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._version import __version__ as _code_version
-from .analysis import _atomic_write, design_detector
+from .analysis import DetectorDesign, _atomic_write, design_detector
 from .channel import ChannelConfig, draw_taps
 from .errors import ConfigError
 from .rx import detect
@@ -231,13 +231,17 @@ class ExperimentConfig:
                 )
         if _KINDS[self.kind].h1 and not self.snr_grid_db:
             raise ConfigError(f"{self.kind.value} experiments need a non-empty snr_grid_db")
-        try:  # the amplitude falls with k_bits, so k_bits=1 bounds every curve's
-            amps = [amplitude_for_snr(v, self.n_len, self.noise_var, 1) for v in self.snr_grid_db]
+        # a frame's received energy, message plus noise, bounds every window, frame-power and
+        # statistic value of a run; at 1e300 their sums over trials stay finite too
+        try:
+            peak = max((10.0 ** (v / 10.0) for v in self.snr_grid_db), default=0.0)
         except OverflowError:
-            amps = [inf]
-        if not all(isfinite(v) for v in [*self.snr_grid_db, *amps]):
-            raise ConfigError(f"snr_grid_db must be finite and give a finite signal amplitude at "
-                              f"this n_len and noise_var, got {list(self.snr_grid_db)}")
+            peak = inf
+        if not (all(isfinite(v) for v in self.snr_grid_db)
+                and (1.0 + peak) * self.n_len * self.noise_var <= 1e300):
+            raise ConfigError(
+                f"snr_grid_db must be finite, and (1 + 10^(snr/10)) * n_len * noise_var <= 1e300; "
+                f"got {list(self.snr_grid_db)} at n_len={self.n_len}, noise_var={self.noise_var}")
         roc_without_grid = self.kind is ExperimentKind.ROC and not self.roc_pfa_grid
         if roc_without_grid or not all(0.0 < p < 1.0 for p in self.roc_pfa_grid):
             raise ConfigError(
@@ -255,6 +259,12 @@ class ExperimentConfig:
             curve = {k: m[k] for k in _ONE_CURVE if k in m}
             m = {k: v for k, v in m.items() if k not in _ONE_CURVE} | {"curves": [curve]}
         return _from_fields(cls, m, "config", "")
+
+    @cached_property
+    def designs(self) -> tuple[tuple[DetectorDesign, ...], ...]:
+        """Each curve's solved designs, one per PFA its kind designs for; solved on first use."""
+        return tuple(tuple(design_detector(pfa, c.k_bits, c.m_of_n, self.l_taps, self.noise_var)
+                           for pfa in _KINDS[self.kind].pfas(self)) for c in self.curves)
 
     def to_mapping(self) -> dict:
         """The resolved config as JSON data; :meth:`from_mapping` reads it back."""
@@ -707,15 +717,14 @@ _KINDS = {
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run ``config`` on ``jobs`` worker threads; one loop serves every kind (see ``_KINDS``).
 
-    Every design is solved before the first chunk is planned, so a design
-    that fails runs no trials. Then the chunks of every point of every curve
-    run on one pool, and the kind's row builder turns each curve's sums into rows.
+    Every design (``config.designs``) is solved before the first chunk is
+    planned, so a design that fails runs no trials. Then the chunks of every
+    point of every curve run on one pool, and the kind's row builder turns
+    each curve's sums into rows.
     """
     kind = _KINDS[config.kind]
-    designs = [[design_detector(pfa, c.k_bits, c.m_of_n, config.l_taps, config.noise_var)
-                for pfa in kind.pfas(config)] for c in config.curves]
     amps, tasks = [], []
-    for ci, (curve, ds) in enumerate(zip(config.curves, designs)):
+    for ci, (curve, ds) in enumerate(zip(config.curves, config.designs)):
         sc = _Scenario(config, curve)
         # the reducer holds this curve's scenario and thresholds: its chunks run after the loop
         reduce = partial(kind.reduce, sc, np.array([d.eta for d in ds]))
@@ -732,7 +741,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     points = iter([done[i:i + chunks] for i in range(0, len(done), chunks)])
 
     rows, derived = [], {}
-    for curve, ds, curve_amps in zip(config.curves, designs, amps):
+    for curve, ds, curve_amps in zip(config.curves, config.designs, amps):
         h0 = next(points) if kind.h0 else None
         h1 = [next(points) for _ in curve_amps]
         rows += kind.rows(config, curve, ds, curve_amps, h0, h1, derived)

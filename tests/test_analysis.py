@@ -118,13 +118,33 @@ def test_h0_pdf_normalizes(l_taps):
 def test_h0_pdf_zero_limit_branch():
     pdf = H0Pdf(40, 1.0)
     at_zero = h0_pdf(pdf, 0.0)
-    near_zero = h0_pdf(pdf, 5e-9)  # below the 1e-8 * sigma^2 series switch
+    near_zero = h0_pdf(pdf, 5e-9)
     just_above = h0_pdf(pdf, 2e-8)
-    assert at_zero == near_zero
+    assert abs(near_zero - at_zero) / at_zero < 1e-13
     assert abs(just_above - at_zero) / at_zero < 1e-6
     # analytic limit 2 Gamma(L - 1/2) / (s2 sqrt(pi) Gamma(L))
     ref = 2 * math.exp(math.lgamma(39.5) - math.lgamma(40)) / math.sqrt(math.pi)
     assert abs(at_zero - ref) < 1e-12
+
+
+def _besselk_density(l_taps, s2, x):
+    """The closed-form density at x > 0, through mpmath's Bessel K at 40 digits."""
+    with mpmath.workdps(40):
+        s2, z, order = mpmath.mpf(s2), 2 * mpmath.mpf(x) / s2, mpmath.mpf(l_taps) - 0.5
+        norm = s2 / 2 * 2 ** (order - 1) * mpmath.sqrt(mpmath.pi) * mpmath.gamma(l_taps)
+        k = mpmath.besselk(order, z, maxterms=10**6)  # large z at L=400 needs more terms
+        return float(z ** order * k / norm)
+
+
+@pytest.mark.parametrize("l_taps", [1, 2, 5, 40, 400])
+def test_h0_pdf_matches_besselk_closed_form(l_taps):
+    # the density once switched to its value at 0 below x = 1e-8 sigma^2, 1.8e-8 off at L=1
+    for s2 in (0.5, 1.0, 2.2):
+        for x in [2e-8, 5e-9, 1e-30, *np.geomspace(1e-6, 4 * l_taps * s2 + 50, 25)]:
+            ref = _besselk_density(l_taps, s2, x)
+            if ref >= 1e-300:
+                got = h0_pdf(H0Pdf(l_taps, s2), float(x))
+                assert abs(got - ref) <= 1e-12 * ref, (l_taps, s2, x, got, ref)
 
 
 def test_h0_pdf_rejects_negative():
@@ -175,6 +195,20 @@ def test_h0_cdf_matches_mixture_oracle(l_taps, s2):
         assert abs(h0_cdf(pdf, float(x)) - float(erlang_mixture_cdf(l_taps, s2, x))) < 1e-8
 
 
+@pytest.mark.parametrize("l_taps", [1, 2, 5, 40, 400])
+def test_h0_cdf_relative_accuracy_at_any_depth(l_taps):
+    # 1 - S lost every digit below ~1e-8, and read -4.95e-15 at L=40, x=1e-100
+    for s2 in (0.5, 1.0, 2.2):
+        xs = [1e-100, 1e-12, *np.geomspace(1e-300, 4 * l_taps * s2 + 50, 120)]
+        ref = erlang_mixture_cdf(l_taps, s2, np.array(xs))
+        for x, r in zip(xs, ref):
+            if r >= 1e-300:
+                got = h0_cdf(H0Pdf(l_taps, s2), float(x))
+                assert abs(got - r) <= 1e-12 * r, (l_taps, s2, x, got, r)
+    # here z = 2x/sigma^2 rounds to 0, where log z raised a math domain error
+    assert h0_cdf(H0Pdf(l_taps, 4.0), 5e-324) == 0.0
+
+
 def test_h0_cdf_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         h0_cdf(H0Pdf(4, 1.0), math.nan)
@@ -190,9 +224,9 @@ def test_h0_cdf_is_one_at_infinity():
 
 def test_h0_cdf_monotone():
     pdf = H0Pdf(40, 1.0)
-    xs = np.linspace(0, 40, 30)
-    vals = [h0_cdf(pdf, float(x)) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    for xs in (np.linspace(0, 40, 30), np.geomspace(1e-300, 1, 200)):
+        vals = [h0_cdf(pdf, float(x)) for x in xs]
+        assert vals[0] >= 0 and all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_h0_empirical_ks_quick(rng):

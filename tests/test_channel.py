@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ def test_exp_profile_decay_constant():
     beta = RMS * FS  # 9.216 samples
     ratios = prof.pdp[1:] / prof.pdp[:-1]
     assert np.abs(ratios - np.exp(-1.0 / beta)).max() < 1e-12
+
+
+@pytest.mark.parametrize("rms_ns, fs", [(1e-300, 1e-300), (1e-300, 1.0)])
+def test_exp_profile_spread_under_one_sample_is_the_zero_spread_limit(rms_ns, fs):
+    # a spread that rounds to 0 samples once gave an all-NaN PDP, and a subnormal one
+    # (1e-300 ns at 1 Hz is 1e-309 samples) warned of overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdp = ChannelConfig(kind="exp_pdp", rms_delay_spread_ns=rms_ns, sample_rate_hz=fs).pdp
+    assert np.isfinite(pdp).all() and pdp.sum() == 1.0 and pdp[0] == 1.0
 
 
 # The delay-spread moment checks validate the embedded table, its delay

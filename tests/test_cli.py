@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -267,6 +268,63 @@ def test_simulate_tail_overflow_exits_3_before_any_trial(tmp_path, capsys, monke
     assert not (out / "cli_demo.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    # the M-of-n inversion does not converge this deep
+    {"kind": "pmd", "snr_grid_db": [0.0], "curves": [{"k_bits": 10, "m_of_n": 20}],
+     "target_pfa": 1e-150},
+    # the K=60 binomial tail passes the float range
+    {"l_taps": 15, "curves": [{"k_bits": 1, "m_of_n": 1}, {"k_bits": 60, "m_of_n": 1}]},
+])
+def test_simulate_design_failure_exits_3_writing_nothing(tmp_path, capsys, overrides):
+    config = write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()  # not even the sidecar
+
+
+@pytest.mark.parametrize("overrides", [
+    {"snr_grid_db": [3052.0]},  # wrote h1_c_mean = inf
+    {"snr_grid_db": [3040.0], "curves": [{"k_bits": 10, "m_of_n": 1}]},
+    {"snr_grid_db": [0.0], "noise_var": 1e305},
+])
+def test_simulate_received_power_past_1e300_exits_2(tmp_path, capsys, overrides):
+    config = write_config(tmp_path / "c.json", kind="dist", num_trials=300, **overrides)
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "<= 1e300" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_dist_at_the_power_bound_runs(tmp_path):
+    snr = 10 * math.log10(1e300 / 1024) - 1e-9  # (1 + 10^(snr/10)) * 1024 * 1 just below 1e300
+    config = write_config(tmp_path / "c.json", kind="dist", num_trials=300, snr_grid_db=[snr],
+                          curves=[{"k_bits": 1, "m_of_n": 1}, {"k_bits": 10, "m_of_n": 1}])
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    assert rc == 0
+    means = [float(r["value"]) for r in read_rows(out / "cli_demo.csv")
+             if r["metric"] in ("h0_c_mean", "h1_c_mean", "h1_minus_h0_mean")]
+    assert len(means) == 6 and all(math.isfinite(v) and v > 0 for v in means)
+
+
+def test_simulate_exp_pdp_spread_under_one_sample_runs(tmp_path):
+    # the all-NaN PDP of this channel once gave PMD = 1 with exit 0
+    config = write_config(tmp_path / "c.json", kind="pmd", num_trials=300, snr_grid_db=[-5.0],
+                          channel={"kind": "exp_pdp", "rms_delay_spread_ns": 1e-300,
+                                   "sample_rate_hz": 1e-300})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out), "--jobs", "1"])
+    assert rc == 0
+    assert float(read_rows(out / "cli_demo.csv")[0]["value"]) < 0.5
+
+
 # CSV SHA-256 of each count-based config at num_trials=600: chunk keys, RNG
 # streams and row order fix these bytes. DIST is not pinned, as its float
 # means may move with the BLAS build.
@@ -307,8 +365,9 @@ def test_imports_stay_light(tmp_path):
     code = (
         "import sys, cpdsss.analysis; "
         "print(sorted(m for m in sys.modules if m.startswith('cpdsss.'))); "
-        "from cpdsss.analysis import H0Pdf, design_detector, h0_cdf; "
+        "from cpdsss.analysis import H0Pdf, bessel_k_half, design_detector, h0_cdf, h0_pdf; "
         "design_detector(1e-3, 10, 20, 40, 1.0); h0_cdf(H0Pdf(40, 1.0), 10.0); "
+        "bessel_k_half(3, 2.0); h0_pdf(H0Pdf(40, 1.0), 1.0); h0_cdf(H0Pdf(40, 1.0), 1e-6); "
         "print('numpy' in sys.modules); "
         "import cpdsss, cpdsss.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -317,7 +376,7 @@ def test_imports_stay_light(tmp_path):
     design_only, numpy_loaded, scipy_modules = proc.stdout.splitlines()
     # the package loads a submodule only when one of its names is used
     assert design_only == "['cpdsss._version', 'cpdsss.analysis', 'cpdsss.errors']"
-    assert numpy_loaded == "False"  # the closed-form design is math-only
+    assert numpy_loaded == "False"  # the design and the scalar law are math-only
     assert scipy_modules == "[]"
 
     code = (

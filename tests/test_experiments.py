@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import sys
 from dataclasses import fields
 
 import numpy as np
@@ -110,10 +109,10 @@ def config_mappings(draw):
     # a plain file name: it names the output files
     name = st.text(st.characters(exclude_characters="/\0" + os.sep), max_size=8).filter(
         lambda s: s not in (".", ".."))
-    noise_var = draw(positive)
-    # every SNR point needs a finite amplitude: 10 ** (snr / 10) * n_len, and that times
-    # noise_var, below the float range
-    snr_max = 10 * math.log10(sys.float_info.max / (n_len * max(noise_var, 1.0))) - 1
+    # the received power (1 + 10 ** (snr / 10)) * n_len * noise_var is at most 1e300, and
+    # 10 ** (snr / 10) itself stays in the float range
+    noise_var = draw(st.floats(min_value=1e-300, max_value=1e300 / (2 * n_len)))
+    snr_max = 10 * math.log10(min(1e300 / (n_len * noise_var), 1e300) - 1) - 1
     return {
         "kind": draw(st.sampled_from(ExperimentKind)).value,
         "name": draw(name),
