@@ -247,8 +247,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"roc_pfa_grid must hold values in (0, 1), got {list(self.roc_pfa_grid)}"
             )
-        if self.dist_bins < 1:
-            raise ConfigError(f"dist_bins must be >= 1, got {self.dist_bins}")
+        for label in ("snr_grid_db", "roc_pfa_grid"):  # rows print these at 6 digits
+            grid = getattr(self, label)
+            if len({float(format(v, ".6g")) for v in grid}) < len(grid):
+                raise ConfigError(f"{label} values must differ at 6 significant digits, as they "
+                                  f"label the rows; got {list(grid)}")
+        if not 1 <= self.dist_bins <= 10_000:
+            raise ConfigError(
+                f"dist_bins must be in [1, 10000], as each bin adds two CSV rows and a sidecar "
+                f"edge per SNR point and curve; got {self.dist_bins}")
 
     @classmethod
     def from_mapping(cls, m: dict) -> "ExperimentConfig":
@@ -420,10 +427,12 @@ class _Scenario:
       have taken from before the frame: the first ``len(h) - 1 - cp``
       received samples miss those terms, and the miss is despread onto the
       windows by a small precomputed product;
-    * the frame power follows by Parseval from the window samples, the
-      noiseless energy outside the windows, which sees one complex noise
-      sample along it, and sigma^2 * Gamma(N - W - 1) for the other
-      N - W - 1 noise dimensions (W = (K+1)*L);
+    * code k's tap t of h, folded onto the frame, lands on sample
+      (i_k + t) mod N, and the windows read the codes' sum there. By
+      Parseval the frame power adds to the window power the rest of the
+      response's squared norm, which sees one complex noise sample along
+      it, and sigma^2 * Gamma(N - W - 1) for the other N - W - 1 noise
+      dimensions (W = (K+1)*L);
     * without a message the receiver reads only inner products of the
       windows, the Gram matrix G of K+1 iid CN(0, sigma^2 I_L) vectors.
       Rows of the lower-trapezoidal LQ factor T of the windows (K+1 by
@@ -448,29 +457,15 @@ class _Scenario:
         self._pairs = np.triu_indices(len(shifts), 1)  # (i, j) of the statistics, i < j
 
         seq, n_taps = self.basis.seq, len(config.channel.pdp)
-        n_circ = min(n_taps, n_len)  # length of the response folded onto the circle
-        offset = (shifts[:, None] - shifts[None, :]) % n_len
-        # Window j, sample r reads tap (o + r) mod N of code k, o = (i_j - i_k) mod N.
-        # Code pairs sharing an offset form a band; bands that reach no tap are dropped.
-        # Band b reads taps _band_taps[b] (n_circ is a zero past the last tap) of code
-        # _band_code[j, b] into window j, weighted 0 where no code of window j has its offset.
-        bands = np.array([o for o in sorted(set(offset.flat))
-                          if ((o + np.arange(config.l_taps)) % n_len < n_circ).any()])
-        tap = (bands[:, None] + np.arange(config.l_taps)) % n_len
-        self._band_taps = np.where(tap < n_circ, tap, n_circ)
-        partner = offset[:, :, None] == bands  # (window j, code k, band b)
-        self._band_code = partner.argmax(axis=1)
-        self._band_weight = partner.any(axis=1).astype(float)
-        # ||despread circular convolution||^2 = sum_k a_k^2 ||h||^2
-        #   + 2 sum_{k<k'} a_k a_k' Re sum_m h[m] conj(h[(m + o_kk') mod N])
-        self._lags = []
-        for o in sorted(set(offset[np.triu_indices(len(shifts), 1)])):
-            m = np.arange(n_circ)
-            m_shift = (m + o) % n_len
-            overlap = m_shift < n_circ
-            if overlap.any():
-                ks, kps = np.nonzero(np.triu(offset == o, 1))
-                self._lags.append((ks, kps, m[overlap], m_shift[overlap]))
+        # Code k's tap t of the channel folded onto the frame lands on despread sample (i_k + t)
+        # mod N. Code k's powered taps (_support) add into response slots _land[k], and window
+        # samples read slots _read; a sample where no tap lands reads a zero slot past the last.
+        self._support = np.flatnonzero(np.bincount(np.arange(n_taps) % n_len, config.channel.pdp))
+        landing = (shifts[:, None] + self._support) % n_len
+        lands = np.unique(landing)
+        slot = np.full(n_len, len(lands))
+        slot[lands] = np.arange(len(lands))
+        self._land, self._read, self._n_slots = slot[landing], slot[self.win], len(lands) + 1
         # Frame head: received sample n < head misses taps l > n + cp, which a
         # circular convolution would have taken from the end of the body.
         beyond_cp = max(n_taps - 1 - cp_len, 0)
@@ -496,15 +491,12 @@ class _Scenario:
             circ = np.zeros((size, -(-n_taps // n_len) * n_len), complex)
             circ[:, :n_taps] = taps
             circ = circ.reshape(size, -1, n_len).sum(axis=1)
-        energy = _power(circ) * _power(coef)
-        for ks, kps, m, m_shift in self._lags:
-            corr = np.sum(circ[:, m] * circ[:, m_shift].conj(), axis=1).real
-            energy += 2.0 * corr * np.sum(coef[:, ks] * coef[:, kps], axis=1)
-        circ = np.concatenate((circ, np.zeros((size, 1))), axis=1)  # a zero past the last tap
-        # (B, K+1, bands) code amplitudes times the (B, bands, L) taps, real and imaginary
-        # parts side by side
-        amps = coef[:, self._band_code] * self._band_weight
-        window = (amps @ np.take(circ, self._band_taps, axis=1).view(np.float64)).view(complex)
+        powered = circ[:, self._support]
+        response = np.zeros((size, self._n_slots), complex)
+        for k, land in enumerate(self._land):  # code k's amplitude times its taps, where they land
+            response[:, land] += coef[:, k, None] * powered
+        window = np.take(response, self._read, axis=1)
+        energy = _power(response)  # Parseval: the frame's circular energy is the response's
         if len(self._missing):
             rows = sliding_window_view(_matmul_rows(coef, self._code_seg), n_taps, axis=1)
             reversed_taps = taps[:, ::-1]

@@ -205,6 +205,10 @@ def test_simulate_nonfinite_override_rejected(tmp_path, capsys, override):
     ("roc.json", "snr_grid_db=[NaN]"),
     ("pmd.json", "snr_grid_db=[Infinity]"),
     ("dist.json", "dist_bins=0"),
+    ("dist.json", "dist_bins=10001"),
+    ("pmd.json", "snr_grid_db=[-12.0,-12.0000001]"),  # two rows labelled -12
+    ("pmd.json", "snr_grid_db=[0.0,-0.0]"),
+    ("roc.json", "roc_pfa_grid=[0.001,0.0010000001]"),  # two pd@pfa=0.001 rows
     ("roc.json", "curves=5"),
     ("roc.json", "snr_grid_db=5"),
     ("roc.json", "n_len=null"),
@@ -327,22 +331,28 @@ def test_simulate_exp_pdp_spread_under_one_sample_runs(tmp_path):
 
 # CSV SHA-256 of each count-based config at num_trials=600: chunk keys, RNG
 # streams and row order fix these bytes. DIST is not pinned, as its float
-# means may move with the BLAS build.
+# means may move with the BLAS build. A "config:mode" run sets threshold_mode;
+# est_sigma is the only mode that reads the frame energy.
 CSV_SHA256 = {
     "ber.json": "e7d62364fee3e19e2efba5248051740a002ac9f0ed232a72c896403d27b2d04a",
     "pfa.json": "a9337c1cf9a12316c0efca9860d7d69c7047822023dc3ce6864687ddb36cb13c",
     "pmd.json": "4550be07c38c5423c52423a05db3c17ffa716260dff265b661560fcee7202033",
     "roc.json": "9be4647ffede8680c2d378e729eabc9cfdd1d0c2b697d2b250d3913b68ea115d",
+    "pmd.json:est_sigma": "8e27dc8a406c4b43552ebebdf91a158f70bdef5d7cf594b1d67140a921ca5575",
+    "roc.json:est_sigma": "6a899eaaf28a25413cce14e4212ae206032151fd81b40fe6611916b8ed12eaab",
 }
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS))
+                         + ["pmd.json:est_sigma", "roc.json:est_sigma"])
 def test_simulate_bytes_identical_across_jobs(tmp_path, name):
+    config, _, mode = name.partition(":")
+    sets = ["--set", f"threshold_mode={mode}"] if mode else []
     outs = []
     for jobs in ("1", "3"):
         out = tmp_path / f"jobs{jobs}"
-        rc = cli.main(["simulate", "--config", os.path.join(CONFIGS, name), "--out", str(out),
-                       "--jobs", jobs, "--set", "num_trials=600"])
+        rc = cli.main(["simulate", "--config", os.path.join(CONFIGS, config), "--out", str(out),
+                       "--jobs", jobs, "--set", "num_trials=600", *sets])
         assert rc == 0
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outs[0] == outs[1]

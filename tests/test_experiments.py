@@ -113,6 +113,10 @@ def config_mappings(draw):
     # 10 ** (snr / 10) itself stays in the float range
     noise_var = draw(st.floats(min_value=1e-300, max_value=1e300 / (2 * n_len)))
     snr_max = 10 * math.log10(min(1e300 / (n_len * noise_var), 1e300) - 1) - 1
+
+    def row_label(v):  # grid values label the rows at 6 significant digits, so they differ there
+        return float(format(v, ".6g"))
+
     return {
         "kind": draw(st.sampled_from(ExperimentKind)).value,
         "name": draw(name),
@@ -124,12 +128,13 @@ def config_mappings(draw):
         "curves": curves,
         "target_pfa": draw(unit),
         "snr_grid_db": draw(st.lists(st.floats(max_value=snr_max, allow_nan=False,
-                                               allow_infinity=False), min_size=1, max_size=4)),
+                                               allow_infinity=False), min_size=1, max_size=4,
+                                     unique_by=row_label)),
         "num_trials": draw(st.integers(1, 10**9)),
         "master_seed": draw(st.integers(0, 2**64)),
         "threshold_mode": draw(st.sampled_from(ThresholdMode)).value,
         "ber_detection_gate": draw(st.sampled_from(BerGate)).value,
-        "roc_pfa_grid": draw(st.lists(unit, min_size=1, max_size=4)),
+        "roc_pfa_grid": draw(st.lists(unit, min_size=1, max_size=4, unique_by=row_label)),
         "dist_bins": draw(st.integers(1, 500)),
         "channel": {
             "kind": draw(st.sampled_from(ProfileKind)).value,
@@ -208,6 +213,13 @@ SAMPLER_CHANNELS = {
         {"n_len": 64, "cp_len": 8, "l_taps": 4,
          "channel": {"kind": "exp_pdp", "max_taps": 128, "rms_delay_spread_ns": 3000.0}},
         128,
+    ),
+    # 100 taps on a 44-sample frame: samples 0 to 11 of the folded response sum three taps
+    # (44 is the least n_len that holds K=10 codes at L=3)
+    "wraps_three_times": (
+        {"n_len": 44, "cp_len": 4, "l_taps": 3,
+         "channel": {"kind": "exp_pdp", "max_taps": 100, "rms_delay_spread_ns": 3000.0}},
+        100,
     ),
 }
 
